@@ -53,7 +53,7 @@ class ExtTx:
     exactly the same way before writing the line back."""
 
     kind: str  # "fwdx" | "fwds" | "inv" | "evict"
-    requestor: Optional[NodeId]  # remote L2 (None for evictions)
+    requestor: Optional[NodeId]  # remote L2; evict: an L1 writeback folded in
     carry_acks: int  # ack count to embed in the data response
     need: int  # local responses still outstanding
     grant: str = GRANT_M
@@ -587,7 +587,9 @@ class IntraDirL2Controller:
         t = msg.mtype
         if t is MsgType.DIR_WB_REQ:
             line = self.array.lookup(msg.addr)
-            assert line is not None, f"{self.node}: WB request for unknown line {msg}"
+            if line is None:
+                self._fold_writeback_into_eviction(msg)
+                return
             if line.busy:
                 line.queue.append(msg)
             else:
@@ -606,6 +608,15 @@ class IntraDirL2Controller:
             if line is not None:
                 line.sharers.discard(msg.requestor)
             return
+        ext = self._ext.get(msg.addr)
+        if ext is not None and ext.kind == "evict" and ext.requestor == msg.requestor:
+            # Phase 3 of a writeback folded into a recall eviction.
+            self._ext_response(
+                msg.addr,
+                data=msg.data if t is MsgType.DIR_WB_DATA else None,
+                dirty=msg.dirty,
+            )
+            return
         # Phase 3 of a local L1 writeback (data, or cancelled).
         line = self.array.lookup(msg.addr)
         assert line is not None and line.busy, f"{self.node}: stray WB data {msg}"
@@ -621,6 +632,25 @@ class IntraDirL2Controller:
             line.sharers.discard(msg.requestor)
         line.busy = False
         self._drain_queue(msg.addr, line)
+
+    def _fold_writeback_into_eviction(self, msg: Message) -> None:
+        """An L1 writeback that raced a recall eviction of its line.
+
+        ``_recall_evict_some_line`` deallocated the line and recalled the
+        owner before the owner's DIR_WB_REQ arrived.  The recall cancels
+        the L1's eviction buffer and its response carries the data, so
+        grant at once and let the eviction also wait for phase 3 (a
+        cancelled DIR_WB_TOKEN, or the data if the grant overtook the
+        recall).
+        """
+        ext = self._ext.get(msg.addr)
+        assert ext is not None and ext.kind == "evict", (
+            f"{self.node}: WB request for unknown line {msg}"
+        )
+        self.stats.bump("l2.stray_writebacks")
+        ext.requestor = msg.requestor
+        ext.need += 1
+        self._send(MsgType.DIR_WB_GRANT, msg.requestor, msg.addr)
 
     def _start_l1_writeback(self, msg: Message, line: L2Line) -> None:
         line.busy = True

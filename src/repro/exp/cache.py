@@ -37,11 +37,9 @@ def default_cache_dir() -> str:
     return os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
 
 
-def cell_key(cell: Cell) -> Optional[str]:
-    """Stable content hash of a cell, or ``None`` if uncacheable."""
+def cell_key(cell: Cell) -> str:
+    """Stable content hash of a cell."""
     material = cell.key_material()
-    if material is None:
-        return None
     material["schema"] = CACHE_SCHEMA
     blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -57,7 +55,7 @@ class ResultCache:
         self.stores = 0
 
     # ------------------------------------------------------------------
-    def key(self, cell: Cell) -> Optional[str]:
+    def key(self, cell: Cell) -> str:
         return cell_key(cell)
 
     def path(self, key: str) -> str:

@@ -29,8 +29,7 @@ def run_cell(cell: Cell, tracer=None, profiler=None) -> CellResult:
     """Execute one cell: build the machine + workload, run, record.
 
     This is the single supported entry point for running an experiment
-    cell; the deprecated ``run_one`` / ``runtime_grid`` helpers delegate
-    here.  The returned result carries the in-process ``RunResult`` in
+    cell.  The returned result carries the in-process ``RunResult`` in
     ``.raw`` (dropped when the result crosses a process boundary or the
     cache).
 
@@ -64,12 +63,9 @@ def run_cell(cell: Cell, tracer=None, profiler=None) -> CellResult:
 
         monitor = InvariantMonitor(machine, cell.invariant_check_every)
 
-    if callable(cell.workload):
-        workload = cell.workload(cell.params, cell.seed)
-    else:
-        workload = make_workload(
-            cell.workload, cell.params, seed=cell.seed, **cell.kwargs
-        )
+    workload = make_workload(
+        cell.workload, cell.params, seed=cell.seed, **cell.kwargs
+    )
     run_result = machine.run(workload, max_events=cell.max_events)
     if cell.check_invariants and machine.cfg.family == "token":
         machine.check_token_invariants()  # quiescent re-check
@@ -224,42 +220,31 @@ class Runner:
         if hits:
             self._say(f"{spec.name}: {hits}/{len(cells)} cells from cache")
 
-        # Cells with callable workloads cannot cross a process boundary;
-        # run them in-process (keeps .raw populated for legacy callers).
-        parallelizable = [p for p in pending if p[1].cacheable]
-        serial = [p for p in pending if not p[1].cacheable]
-        if self.jobs > 1 and len(parallelizable) > 1:
+        if self.jobs > 1 and len(pending) > 1:
             methods = multiprocessing.get_all_start_methods()
             ctx = multiprocessing.get_context(
                 "fork" if "fork" in methods else "spawn"
             )
-            workers = min(self.jobs, len(parallelizable))
+            workers = min(self.jobs, len(pending))
             self._say(
-                f"{spec.name}: computing {len(parallelizable)} cells "
+                f"{spec.name}: computing {len(pending)} cells "
                 f"on {workers} workers"
             )
             with ctx.Pool(workers) as pool:
-                computed = pool.map(
-                    _run_cell_worker, [c for _, c, _ in parallelizable]
-                )
-            for (i, _cell, key), res in zip(parallelizable, computed):
-                res.cache_key = key
-                results[i] = res
+                computed = pool.map(_run_cell_worker, [c for _, c, _ in pending])
         else:
-            serial = parallelizable + serial
-        for i, cell, key in serial:
-            self._say(
-                f"{spec.name}: {cell.protocol_name} / {cell.workload_name}"
-                f" seed={cell.seed}" + (f" [{cell.label}]" if cell.label else "")
-            )
-            res = run_cell(cell)
+            computed = []
+            for _i, cell, _key in pending:
+                self._say(
+                    f"{spec.name}: {cell.protocol_name} / {cell.workload_name}"
+                    f" seed={cell.seed}" + (f" [{cell.label}]" if cell.label else "")
+                )
+                computed.append(run_cell(cell))
+        for (i, _cell, key), res in zip(pending, computed):
             res.cache_key = key
             results[i] = res
-
-        if self.cache is not None:
-            for i, _cell, key in pending:
-                if key is not None:
-                    self.cache.store(key, results[i])
+            if self.cache is not None:
+                self.cache.store(key, res)
         return ExperimentResult(
             spec=spec,
             results=results,

@@ -16,8 +16,9 @@ covers the common ``protocol x workload x seed`` sweep.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
+from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
 from repro.system.config import ProtocolConfig, protocol as lookup_protocol
 
@@ -34,14 +35,12 @@ def _freeze_kwargs(kwargs) -> Tuple[Tuple[str, object], ...]:
 class Cell:
     """One independent simulation run, described declaratively.
 
-    ``workload`` is normally a :data:`repro.workloads.REGISTRY` name; a
-    bare factory callable ``(params, seed) -> Workload`` is accepted for
-    legacy callers but makes the cell uncacheable and unparallelizable
-    (it cannot be hashed or pickled).
+    ``workload`` is a :data:`repro.workloads.REGISTRY` name; anything
+    else raises :class:`~repro.common.errors.ConfigError`.
     """
 
     protocol: Union[str, ProtocolConfig]
-    workload: Union[str, Callable]
+    workload: str
     workload_kwargs: Tuple[Tuple[str, object], ...] = ()
     seed: int = 1
     params: SystemParams = dataclasses.field(default_factory=SystemParams)
@@ -60,6 +59,10 @@ class Cell:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.workload, str):
+            raise ConfigError(
+                f"Cell workload must be a registry name, got {self.workload!r}"
+            )
         if isinstance(self.protocol, str):
             object.__setattr__(self, "protocol", lookup_protocol(self.protocol))
         object.__setattr__(
@@ -77,14 +80,7 @@ class Cell:
 
     @property
     def workload_name(self) -> str:
-        if isinstance(self.workload, str):
-            return self.workload
-        return getattr(self.workload, "__name__", "<factory>")
-
-    @property
-    def cacheable(self) -> bool:
-        """Only declaratively-described workloads can be hashed/pickled."""
-        return isinstance(self.workload, str)
+        return self.workload
 
     @property
     def machine(self) -> "MachineSpec":
@@ -105,15 +101,12 @@ class Cell:
         )
 
     # ------------------------------------------------------------------
-    def key_material(self) -> Optional[dict]:
+    def key_material(self) -> dict:
         """Everything the simulation outcome depends on, JSON-ready.
 
-        Returns ``None`` for uncacheable (callable-workload) cells.  The
-        protocol is expanded to its full config so *any* change to a
+        The protocol is expanded to its full config so *any* change to a
         code-relevant knob (e.g. ``max_transient``) changes the key.
         """
-        if not self.cacheable:
-            return None
         material = {
             "protocol": dataclasses.asdict(self.protocol),
             "workload": self.workload,

@@ -34,9 +34,10 @@ Hot-path design
 ``send`` sits under every coherence message, so its per-message work is
 precomputed at construction time:
 
-* a **route cache** — ``(src, dst) -> tuple[Link, ...]`` for every node
+* a **route cache** — ``src -> dst -> tuple[Link, ...]`` for every node
   pair in the machine, built once from the compiled topology graph
-  (checked against the :meth:`_path` ladder on the default topology);
+  (checked against the :meth:`_path` ladder on the default topology); a
+  pair outside it raises ``ConfigError``;
 * a **size table** — ``MsgType -> bytes``, so sizing a message is one
   dict hit instead of a method call and branch;
 * **integer link serialization** — each :class:`Link` folds its
@@ -161,22 +162,10 @@ class Network:
         self.graph: TopologyGraph = self.topology.build(params)
         self._links: Dict[str, Link] = {}
         self._build_links()
-        # Legacy per-network tables, aliasing the same Link objects.
-        # Populated only on the default topology, where the :meth:`_path`
-        # branch ladder is still a valid statement of the routing rules.
-        self._intra: Dict[NodeId, Link] = {}
-        self._inter: Dict[int, Link] = {}
-        self._mem_out: Dict[int, Link] = {}
-        self._mem_in: Dict[int, Link] = {}
-        if self.topology.is_default:
-            self._build_legacy_tables()
-        # (src, dst) -> tuple of egress links, for every node pair in the
-        # machine; lazily extended for pairs outside the enumeration
-        # (tests register ad-hoc endpoints).
-        self._routes: Dict[Tuple[NodeId, NodeId], Tuple[Link, ...]] = {}
-        # The same table nested src -> dst -> route, so the hot ``send``
-        # path needs no per-message (src, dst) key tuple.  Empty routes
-        # (src == dst) are valid entries, hence the ``is None`` probes.
+        # src -> dst -> tuple of egress links, for every node pair in the
+        # machine; nested so the hot ``send`` path needs no per-message
+        # (src, dst) key tuple.  Empty routes (src == dst) are valid
+        # entries, hence the ``is None`` probes.
         self._routes_from: Dict[NodeId, Dict[NodeId, Tuple[Link, ...]]] = {}
         self._route_row = self._routes_from.get  # prebound, table mutated in place
         self._build_routes()
@@ -223,22 +212,6 @@ class Network:
         return BufferedLink(spec.name, spec.scope, spec.latency_ps,
                             spec.bytes_per_ns, spec.buffer_bytes)
 
-    def _build_legacy_tables(self) -> None:
-        """Index the default topology's links by network, as PR-4 did.
-
-        The tables alias ``self._links`` (one physical link, two views)
-        and exist so the :meth:`_path` ladder — the executable oracle the
-        route tests replay — keeps working verbatim.
-        """
-        p = self.params
-        for chip in range(p.num_chips):
-            nodes = p.chip_l1s(chip) + p.chip_l2_banks(chip) + [p.iface_of(chip)]
-            for node in nodes:
-                self._intra[node] = self._links[f"intra:{node}"]
-            self._inter[chip] = self._links[f"inter:{chip}"]
-            self._mem_out[chip] = self._links[f"mem-out:{chip}"]
-            self._mem_in[chip] = self._links[f"mem-in:{chip}"]
-
     def _all_nodes(self) -> List[NodeId]:
         """Every addressable endpoint in the machine, for route building."""
         p = self.params
@@ -261,16 +234,12 @@ class Network:
         exhaustively compare every cached entry against it.
         """
         links = self._links
-        routes = self._routes
         routes_from = self._routes_from
-        for pair, names in self.graph.all_routes().items():
-            route = tuple(links[name] for name in names)
-            routes[pair] = route
-            src, dst = pair
+        for (src, dst), names in self.graph.all_routes().items():
             by_dst = routes_from.get(src)
             if by_dst is None:
                 by_dst = routes_from[src] = {}
-            by_dst[dst] = route
+            by_dst[dst] = tuple(links[name] for name in names)
 
     # ------------------------------------------------------------------
     def register(self, node: NodeId, handler: Handler) -> None:
@@ -290,10 +259,8 @@ class Network:
         src = msg.src
         by_dst = self._route_row(src)
         route = None if by_dst is None else by_dst.get(dst)
-        if route is None:  # ad-hoc endpoint outside the machine enumeration
-            route = self._route_fallback(src, dst)
-            self._routes[(src, dst)] = route
-            self._routes_from.setdefault(src, {})[dst] = route
+        if route is None:
+            raise ConfigError(f"no route from {src} to {dst}")
         sim = self.sim
         arrival = sim._now
         keys = self._meter_keys[mtype.klass]
@@ -371,10 +338,6 @@ class Network:
         entry = row.get(id(dests))
         if entry is None or entry[0] is not dests:
             entry = self._build_fanout_plan(src, dests)
-            if entry is None:  # ad-hoc endpoint / route fallback
-                for dst in dests:
-                    send(clone(template, dst))
-                return
             if len(row) >= 64:
                 # Callers are expected to intern their destination tuples;
                 # a caller that does not would otherwise grow the cache
@@ -449,21 +412,21 @@ class Network:
         Returns ``(dests, pairs, scope_links)`` — the dests tuple itself
         (kept so the identity-keyed cache holds its key alive), one
         ``(dst, endpoint, route)`` triple per destination, and the total
-        link count per scope for aggregate metering.  ``None`` when any
-        destination lacks a prebuilt route or a registered endpoint (the
-        caller falls back to per-destination ``send``).
+        link count per scope for aggregate metering.  A destination
+        without a registered endpoint or a route raises ``ConfigError``,
+        as in ``send``.
         """
-        by_dst = self._route_row(src)
-        if by_dst is None:
-            return None
+        by_dst = self._route_row(src) or {}
         endpoint_of = self._endpoint_of
         pairs = []
         counts: Dict[Scope, int] = {}
         for dst in dests:
-            route = by_dst.get(dst)
             endpoint = endpoint_of(dst)
-            if route is None or endpoint is None:
-                return None
+            if endpoint is None:
+                raise ConfigError(f"no endpoint registered for {dst}")
+            route = by_dst.get(dst)
+            if route is None:
+                raise ConfigError(f"no route from {src} to {dst}")
             pairs.append((dst, endpoint, route))
             for link in route:
                 scope = link.scope
@@ -501,20 +464,11 @@ class Network:
         fault-injection wrappers use it to retire in-flight tracking)."""
 
     # ------------------------------------------------------------------
-    def _route_fallback(self, src: NodeId, dst: NodeId) -> Tuple[Link, ...]:
-        """Route a pair missing from the prebuilt table (ad-hoc endpoints
-        tests register).  The default topology replays the ladder —
-        exactly PR-4's lazy path; other topologies route on the graph."""
-        if self.topology.is_default:
-            return tuple(self._path(src, dst))
-        links = self._links
-        return tuple(links[name] for name in self.graph.route(src, dst))
-
     def _path(self, src: NodeId, dst: NodeId) -> List[Link]:
         """Egress links a message crosses from ``src`` to ``dst``.
 
         The reference branch ladder for the *default* (``ptp``) topology.
-        ``send`` reads the precomputed ``_routes`` table instead; this
+        ``send`` reads the precomputed ``_routes_from`` table instead; this
         stays as the executable statement of the Table-3 routing rules
         (and the oracle the route-cache tests replay against the graph).
         """
@@ -526,42 +480,50 @@ class Network:
         if src == dst:
             return []
         p = self.params
+        links = self._links
+
+        def intra(node: NodeId) -> Link:
+            return links[f"intra:{node}"]
+
+        def inter(chip: int) -> Link:
+            return links[f"inter:{chip}"]
+
         src_mem = src.kind in (NodeKind.MEM, NodeKind.ARB)
         dst_mem = dst.kind in (NodeKind.MEM, NodeKind.ARB)
 
         if src_mem and dst_mem:
             if src.chip == dst.chip:  # arbiter <-> memory controller, same site
                 return []
-            return [self._mem_in[src.chip], self._inter[src.chip], self._mem_out[dst.chip]]
+            return [links[f"mem-in:{src.chip}"], inter(src.chip), links[f"mem-out:{dst.chip}"]]
 
         if src_mem:
-            links = [self._mem_in[src.chip]]
+            hops = [links[f"mem-in:{src.chip}"]]
             if src.chip != dst.chip:
-                links.append(self._inter[src.chip])
+                hops.append(inter(src.chip))
                 # Same dst-IFACE exception as the cache-source branch
                 # below: the interface sits on the fabric, so delivery to
                 # it never re-crosses its own intra egress link.  (No
                 # traffic is affected — interfaces are routing points,
                 # never registered endpoints.)
                 if dst.kind is not NodeKind.IFACE:
-                    links.append(self._intra[p.iface_of(dst.chip)])
-            return links
+                    hops.append(intra(p.iface_of(dst.chip)))
+            return hops
 
         if dst_mem:
-            links = [] if src.kind is NodeKind.IFACE else [self._intra[src]]
+            hops = [] if src.kind is NodeKind.IFACE else [intra(src)]
             if src.chip != dst.chip:
-                links.append(self._inter[src.chip])
-            links.append(self._mem_out[dst.chip])
-            return links
+                hops.append(inter(src.chip))
+            hops.append(links[f"mem-out:{dst.chip}"])
+            return hops
 
         # chip component to chip component
         if src.chip == dst.chip:
-            return [self._intra[src]]
-        links = [] if src.kind is NodeKind.IFACE else [self._intra[src]]
-        links.append(self._inter[src.chip])
+            return [intra(src)]
+        hops = [] if src.kind is NodeKind.IFACE else [intra(src)]
+        hops.append(inter(src.chip))
         if dst.kind is not NodeKind.IFACE:
-            links.append(self._intra[p.iface_of(dst.chip)])
-        return links
+            hops.append(intra(p.iface_of(dst.chip)))
+        return hops
 
     # ------------------------------------------------------------------
     def links_by_name(self) -> Dict[str, Link]:
@@ -575,16 +537,7 @@ class Network:
 
     def link_utilization(self) -> Dict[str, int]:
         """Bytes carried per link (diagnostics)."""
-        out: Dict[str, int] = {}
-        if self.topology.is_default:
-            # Preserve the historical per-network iteration order.
-            for table in (self._intra, self._inter, self._mem_out, self._mem_in):
-                for link in table.values():
-                    out[link.name] = link.bytes_carried
-            return out
-        for name in sorted(self._links):
-            out[name] = self._links[name].bytes_carried
-        return out
+        return {name: self._links[name].bytes_carried for name in sorted(self._links)}
 
     def buffer_report(self) -> Dict[str, Dict[str, int]]:
         """Overflow diagnostics for links declared with ``buffer_bytes``."""

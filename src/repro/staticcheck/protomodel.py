@@ -5,11 +5,10 @@ Every protocol here exists twice: executable controllers
 (``repro.verification``).  This pass extracts a guarded-transition
 summary from *both* sides of that divide and cross-checks them:
 
-* **controller side** — per controller role (the dispatch pass's
-  ``ROLE_BY_CLASS`` table), every ``if/elif MsgType.X`` arm of the entry
-  ladder becomes one guarded transition: the guard predicate, the
-  handler it delegates to, the messages it can send (the PR 5 send-site
-  resolver), its token-delta effect (absorb/take/``± tokens``
+* **controller side** — per controller role (``ROLE_BY_CLASS``), every
+  ``if/elif MsgType.X`` arm of the entry ladder becomes one guarded
+  transition: the guard predicate, the handler it delegates to, the
+  messages it can send, its token-delta effect (absorb/take/``± tokens``
   arithmetic), the state fields it writes, and whether a stale-epoch
   guard protects it;
 * **model side** — the ``transitions()`` methods of the checker models
@@ -48,17 +47,15 @@ import json
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.staticcheck.base import Pass, attr_chain, call_name
-from repro.staticcheck.dispatch import (
+from repro.staticcheck.base import Pass, call_name
+from repro.staticcheck.findings import Finding
+from repro.staticcheck.protocol import (
     FAMILY_BY_PREFIX,
     ROLE_BY_CLASS,
-    _FnEnv,
-    _module_mtype_constants,
-    _mtype_subjects,
-    _send_site_of,
-    _test_mtypes,
+    ClassFacts,
+    ClassIndex,
+    FnFacts,
 )
-from repro.staticcheck.findings import Finding
 from repro.staticcheck.source import SourceFile
 
 PROTOMODEL_SCHEMA = "repro.protomodel/1"
@@ -144,60 +141,6 @@ _CALL_DEPTH = 3
 
 
 # ---------------------------------------------------------------------------
-# Class/method resolution over the merged realm.  Fixture copies (module
-# "<fixture>") override real classes of the same name so seeded-drift
-# tests exercise the exact production cross-check.
-# ---------------------------------------------------------------------------
-class _Realm:
-    def __init__(self, files: List[SourceFile]):
-        self.files = files
-        self.classes: Dict[str, List[Tuple[ast.ClassDef, SourceFile]]] = {}
-        for src in files:
-            for node in ast.walk(src.tree):
-                if isinstance(node, ast.ClassDef):
-                    self.classes.setdefault(node.name, []).append((node, src))
-
-    def lookup(
-        self, name: str, prefer_path: Optional[str] = None
-    ) -> Optional[Tuple[ast.ClassDef, SourceFile]]:
-        cands = self.classes.get(name, [])
-        if not cands:
-            return None
-        if prefer_path is not None:
-            same = [c for c in cands if c[1].path == prefer_path]
-            if same:
-                return same[0]
-        fixture = [c for c in cands if c[1].module == "<fixture>"]
-        if fixture:
-            return fixture[-1]
-        return cands[0]
-
-    def resolve_method(
-        self, clsname: str, method: str, prefer_path: Optional[str] = None
-    ) -> Optional[Tuple[ast.FunctionDef, SourceFile, ast.ClassDef]]:
-        """Nearest-first lookup of ``method`` through the base chain."""
-        seen: Set[str] = set()
-        queue: List[Tuple[str, Optional[str]]] = [(clsname, prefer_path)]
-        while queue:
-            name, pref = queue.pop(0)
-            if name in seen:
-                continue
-            seen.add(name)
-            found = self.lookup(name, pref)
-            if found is None:
-                continue
-            node, src = found
-            for stmt in node.body:
-                if isinstance(stmt, ast.FunctionDef) and stmt.name == method:
-                    return stmt, src, node
-            for base in node.bases:
-                bname = attr_chain(base)
-                if bname:
-                    queue.append((bname.split(".")[-1], src.path))
-        return None
-
-
-# ---------------------------------------------------------------------------
 # Shared classifiers.
 # ---------------------------------------------------------------------------
 def _delta_of(nodes: Sequence[ast.AST]) -> str:
@@ -279,7 +222,6 @@ class Arm:
     handler: Optional[str]
     handler_line: int  # def line of the resolved handler (or the arm line)
     handler_path: str
-    handler_resolved: bool
     sends: List[str]
     delta: str
     writes: List[str]
@@ -297,52 +239,22 @@ class ControllerInfo:
     arms: List[Arm]
 
 
-def _arm_chains(
-    fn: ast.FunctionDef, subjects: Set[str], constants: Dict[str, Set[str]]
-) -> List[Tuple[ast.If, List[Tuple[ast.If, Set[str]]]]]:
-    """Top-of-chain If nodes with their mtype-matching arms.
-
-    Independent of the dispatch pass's ``_staticcheck_seen`` markers so
-    both passes can walk the same shared trees in one run.
-    """
-    chains: List[Tuple[ast.If, List[Tuple[ast.If, Set[str]]]]] = []
-    seen: Set[int] = set()
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.If) or id(node) in seen:
-            continue
-        arms: List[Tuple[ast.If, Set[str]]] = []
-        cursor: Optional[ast.If] = node
-        while cursor is not None:
-            seen.add(id(cursor))
-            matched = _test_mtypes(cursor.test, subjects, constants)
-            if matched:
-                arms.append((cursor, matched))
-            orelse = cursor.orelse
-            if len(orelse) == 1 and isinstance(orelse[0], ast.If):
-                cursor = orelse[0]
-            else:
-                cursor = None
-        if arms:
-            chains.append((node, arms))
-    return chains
-
-
-def _collect_arm_sends(
+def _arm_sends(
     stmts: Sequence[ast.stmt],
-    env: _FnEnv,
-    src: SourceFile,
-    clsname: str,
-    realm: _Realm,
+    fn: FnFacts,
+    cls: ClassFacts,
+    index: ClassIndex,
     depth: int,
-    visited: Set[Tuple[str, str]],
+    visited: Set[str],
 ) -> Set[str]:
+    """``MTYPE->role`` sends of ``stmts``, following ``self._x()`` calls."""
     sends: Set[str] = set()
     for stmt in stmts:
         for call in ast.walk(stmt):
             if not isinstance(call, ast.Call):
                 continue
-            site = _send_site_of(call, env, src)
-            if site is not None and site.mtypes:
+            site = fn.sites.get(call)
+            if site is not None:
                 roles = sorted(site.roles) or ["?"]
                 for mtype in sorted(site.mtypes):
                     for role in roles:
@@ -355,15 +267,15 @@ def _collect_arm_sends(
                 and call.func.value.id == "self"
             ):
                 name = call.func.attr
-                if (clsname, name) in visited:
+                if name in visited:
                     continue
-                visited.add((clsname, name))
-                resolved = realm.resolve_method(clsname, name)
+                visited.add(name)
+                resolved = index.resolve_method(cls, name)
                 if resolved is not None:
-                    sub_fn, sub_src, _ = resolved
-                    sends |= _collect_arm_sends(
-                        sub_fn.body, _FnEnv(sub_fn), sub_src, clsname,
-                        realm, depth - 1, visited,
+                    sub_fn, owner = resolved
+                    sends |= _arm_sends(
+                        sub_fn.body, owner.src.protocol.function(sub_fn), cls,
+                        index, depth - 1, visited,
                     )
     return sends
 
@@ -371,22 +283,19 @@ def _collect_arm_sends(
 def _build_arm(
     ifnode: ast.If,
     matched: Set[str],
-    fn: ast.FunctionDef,
+    fn: FnFacts,
     esrc: SourceFile,
-    clsname: str,
-    realm: _Realm,
+    cls: ClassFacts,
+    index: ClassIndex,
 ) -> Arm:
-    env = _FnEnv(fn)
-    handler: Optional[str] = None
-    for name in _self_call_names(ast.Module(body=list(ifnode.body), type_ignores=[])):
-        handler = name
-        break
+    body = ast.Module(body=list(ifnode.body), type_ignores=[])
+    handler = next(iter(_self_call_names(body)), None)
     handler_fn = handler_src = None
     if handler is not None:
-        resolved = realm.resolve_method(clsname, handler)
+        resolved = index.resolve_method(cls, handler)
         if resolved is not None:
-            handler_fn, handler_src, _ = resolved
-    scope: List[ast.AST] = [ast.Module(body=list(ifnode.body), type_ignores=[])]
+            handler_fn, handler_src = resolved[0], resolved[1].src
+    scope: List[ast.AST] = [body]
     if handler_fn is not None:
         scope.append(ast.Module(body=list(handler_fn.body), type_ignores=[]))
     epoch_guarded: Optional[bool]
@@ -394,9 +303,7 @@ def _build_arm(
         epoch_guarded = None  # can't see the handler: no verdict
     else:
         epoch_guarded = _has_epoch_compare([ifnode.test] + scope)
-    sends = _collect_arm_sends(
-        ifnode.body, env, esrc, clsname, realm, _CALL_DEPTH, set()
-    )
+    sends = _arm_sends(ifnode.body, fn, cls, index, _CALL_DEPTH, set())
     return Arm(
         mtypes=sorted(matched),
         line=ifnode.lineno,
@@ -404,7 +311,6 @@ def _build_arm(
         handler=handler,
         handler_line=handler_fn.lineno if handler_fn is not None else ifnode.lineno,
         handler_path=handler_src.path if handler_src is not None else esrc.path,
-        handler_resolved=handler is None or handler_fn is not None,
         sends=sorted(sends),
         delta=_delta_of(scope),
         writes=_writes_of(scope),
@@ -413,37 +319,34 @@ def _build_arm(
 
 
 def extract_controllers(files: List[SourceFile]) -> Dict[str, ControllerInfo]:
-    realm = _Realm(files)
+    index = ClassIndex(files)
     out: Dict[str, ControllerInfo] = {}
     for clsname in sorted(ROLE_BY_CLASS):
         family, role = ROLE_BY_CLASS[clsname]
-        found = realm.lookup(clsname)
-        if found is None:
+        cls = index.lookup(clsname)
+        if cls is None:
             continue
-        node, src = found
-        entry = None
         for mname in ("_process", "_receive"):
-            resolved = realm.resolve_method(clsname, mname, src.path)
+            resolved = index.resolve_method(cls, mname)
             if resolved is not None:
-                entry = (mname, resolved)
                 break
-        if entry is None:
+        else:
             continue
-        mname, (fn, esrc, _owner) = entry
-        subjects = _mtype_subjects(fn)
-        constants = _module_mtype_constants(esrc)
-        chains = _arm_chains(fn, subjects, constants)
+        fn, owner = resolved
+        chains = [lad for lad in owner.ladders if lad.fn is fn and lad.is_chain]
         if not chains:
             continue
-        arms: List[Arm] = []
-        for _head, chain_arms in chains:
-            for ifnode, matched in chain_arms:
-                arms.append(_build_arm(ifnode, matched, fn, esrc, clsname, realm))
+        env = owner.src.protocol.function(fn)
+        arms = [
+            _build_arm(ifnode, matched, env, owner.src, cls, index)
+            for chain in chains
+            for ifnode, matched in chain.arms
+        ]
         arms.sort(key=lambda a: (a.line, a.mtypes))
         out[f"{family}/{role}"] = ControllerInfo(
-            key=f"{family}/{role}", class_name=clsname, path=src.path,
-            entry=mname, ladder_path=esrc.path,
-            ladder_line=min(c[0].lineno for c in chains), arms=arms,
+            key=f"{family}/{role}", class_name=clsname, path=cls.src.path,
+            entry=mname, ladder_path=owner.src.path,
+            ladder_line=min(chain.line for chain in chains), arms=arms,
         )
     return out
 
@@ -511,15 +414,15 @@ def _stmt_path(
 
 
 def _transition_functions(
-    clsname: str, realm: _Realm
+    cls: ClassFacts, index: ClassIndex
 ) -> List[Tuple[ast.FunctionDef, SourceFile]]:
     """``transitions()`` plus the self-methods it calls, depth-limited."""
-    root = realm.resolve_method(clsname, "transitions")
+    root = index.resolve_method(cls, "transitions")
     if root is None:
         return []
     out: List[Tuple[ast.FunctionDef, SourceFile]] = []
     seen: Set[Tuple[str, int]] = set()
-    frontier: List[Tuple[ast.FunctionDef, SourceFile]] = [(root[0], root[1])]
+    frontier: List[Tuple[ast.FunctionDef, SourceFile]] = [(root[0], root[1].src)]
     for _ in range(_CALL_DEPTH + 1):
         nxt: List[Tuple[ast.FunctionDef, SourceFile]] = []
         for fn, src in frontier:
@@ -529,9 +432,9 @@ def _transition_functions(
             seen.add(key)
             out.append((fn, src))
             for name in _self_call_names(fn):
-                resolved = realm.resolve_method(clsname, name, src.path)
+                resolved = index.resolve_method(cls, name)
                 if resolved is not None:
-                    nxt.append((resolved[0], resolved[1]))
+                    nxt.append((resolved[0], resolved[1].src))
         frontier = nxt
         if not frontier:
             break
@@ -539,17 +442,18 @@ def _transition_functions(
 
 
 def extract_models(files: List[SourceFile]) -> Dict[str, ModelInfo]:
-    realm = _Realm(files)
+    index = ClassIndex(files)
     out: Dict[str, ModelInfo] = {}
     for clsname in sorted(MODEL_CLASSES):
         name = MODEL_CLASSES[clsname]
-        root = realm.resolve_method(clsname, "transitions")
+        cls = index.lookup(clsname)
+        root = index.resolve_method(cls, "transitions") if cls else None
         if root is None:
             continue
-        root_fn, root_src, _ = root
+        root_fn, root_src = root[0], root[1].src
         families: Dict[str, FamilyInfo] = {}
         total = 0
-        for fn, src in _transition_functions(clsname, realm):
+        for fn, src in _transition_functions(cls, index):
             for call in ast.walk(fn):
                 if not (
                     isinstance(call, ast.Call)

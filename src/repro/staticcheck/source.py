@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import re
 from pathlib import Path
 from typing import Dict, List, Optional, Set
@@ -34,6 +35,17 @@ class SourceFile:
     tree: ast.Module
     lines: List[str]
     suppressions: Dict[int, Set[str]]  # 1-based line -> suppressed rule ids
+
+    @functools.cached_property
+    def protocol(self):
+        """This file's protocol facts (ladders, classes, send sites).
+
+        Extracted on first use and shared by every pass that reads them;
+        see :mod:`repro.staticcheck.protocol`.
+        """
+        from repro.staticcheck.protocol import FileFacts
+
+        return FileFacts(self)
 
     def line_at(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):

@@ -8,8 +8,7 @@ parameters (which carry the interconnect :class:`Topology`), protocol,
 seed, fault config and crash spec — into one frozen, hashable value with
 one entry point, :meth:`MachineSpec.build`.
 
-``Machine(params, proto, ...)`` survives as a thin deprecation shim that
-wraps its arguments in a spec; new code should construct the spec:
+``Machine`` takes only a spec:
 
 .. code-block:: python
 

@@ -20,6 +20,19 @@ TOKEN_PROTOCOLS = [p for p in ALL_PROTOCOLS if p.startswith("Token")]
 COHERENT_PROTOCOLS = [p for p in ALL_PROTOCOLS if p != "PerfectL2"]
 
 
+@pytest.fixture(scope="session")
+def repo_tree():
+    """The ``repro`` package loaded once for the in-process staticcheck tests.
+
+    Passes never mutate the shared ASTs, so every test that reads the
+    real tree without fixture files can pass this through ``files=``.
+    """
+    from repro.staticcheck.runner import default_root
+    from repro.staticcheck.source import load_tree
+
+    return load_tree(default_root())
+
+
 @pytest.fixture
 def small_params():
     """A 2-chip x 2-processor machine: fast, still exercises inter-CMP paths."""

@@ -1,7 +1,10 @@
 """Behavioural tests of DirectoryCMP's two-level MOESI machinery."""
 
+import json
+
 import pytest
 
+from repro.__main__ import main as repro_main
 from repro.common.params import SystemParams
 from repro.cpu.ops import Load, Rmw, Store
 from repro.directory.states import E, M, O, S
@@ -138,3 +141,13 @@ def test_rmw_atomic_under_contention():
     m.sim.run(max_events=4_000_000)
     assert sorted(results) == [0, 1, 2, 3]  # each saw a distinct old value
     assert m.coherent_value(ADDR) == 4
+
+
+def test_writeback_racing_recall_eviction_completes(capsys):
+    # This apache cell makes an L1 writeback race an inclusion-recall
+    # eviction of the same line at its L2 bank; the run must complete.
+    rc = repro_main(["run", "DirectoryCMP", "apache", "--seed", "1279910088",
+                     "--ops", "25", "--json"])
+    assert rc == 0
+    counters = json.loads(capsys.readouterr().out)["counters"]
+    assert counters["l2.stray_writebacks"] >= 1

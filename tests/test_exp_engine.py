@@ -18,6 +18,7 @@ import warnings
 
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
 from repro.exp import (
     CACHE_SCHEMA,
@@ -59,7 +60,6 @@ def test_cell_coerces_protocol_and_freezes_kwargs(small):
     assert cell.protocol_name == "TokenCMP-dst1"
     assert cell.workload_kwargs == (("increments", 3),)
     assert cell.kwargs == {"increments": 3}
-    assert cell.cacheable
     # Frozen + hashable: usable as dict keys, picklable by construction.
     assert hash(cell) == hash(dataclasses.replace(cell))
 
@@ -75,13 +75,11 @@ def test_grid_expands_protocol_x_workload_x_seed(small):
     assert len(_spec(small, seeds=(1,))) == 2
 
 
-def test_callable_workload_is_uncacheable(small):
-    cell = Cell(protocol="PerfectL2",
-                workload=lambda p, s: CounterWorkload(p, increments=2, seed=s),
-                params=small)
-    assert not cell.cacheable
-    assert cell.key_material() is None
-    assert cell_key(cell) is None
+def test_callable_workload_is_rejected(small):
+    with pytest.raises(ConfigError, match="registry name"):
+        Cell(protocol="PerfectL2",
+             workload=lambda p, s: CounterWorkload(p, increments=2, seed=s),
+             params=small)
 
 
 # ---------------------------------------------------------------------------

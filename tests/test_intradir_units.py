@@ -174,3 +174,36 @@ def test_recall_eviction_frees_the_set(rig):
     wb_reqs = [m for m in inboxes["mem"]
                if m.mtype is MsgType.DIR_WB_REQ and m.addr == victim]
     assert wb_reqs
+
+
+def test_l1_writeback_racing_recall_eviction(rig):
+    # The owner L1 evicts (DIR_WB_REQ) while a recall eviction has
+    # already taken the line: the bank grants at once, the recall
+    # response carries the data, and phase 3 (cancelled) is absorbed.
+    params, sim, net, stats, bank, inboxes = rig
+    sets = bank.array.num_sets
+    owner = params.l1d_of(0)
+    blocks = [BLOCK + k * sets * params.block_size for k in range(4)]
+    for addr in blocks:
+        bank.array.allocate(addr, L2Line(gstate="M", owner_l1=owner, owner_state="M"))
+    fifth = BLOCK + 4 * sets * params.block_size
+    l1 = params.l1d_of(1)
+    net.send(Message(MsgType.DIR_GETS, l1, bank.node, fifth, requestor=l1))
+    sim.run()
+    (recall,) = [m for m in inboxes[owner] if m.mtype is MsgType.DIR_RECALL]
+    victim = recall.addr
+    assert bank.array.lookup(victim, touch=False) is None
+    net.send(Message(MsgType.DIR_WB_REQ, owner, bank.node, victim, requestor=owner))
+    sim.run()
+    assert stats.get("l2.stray_writebacks") == 1
+    assert [m.addr for m in inboxes[owner] if m.mtype is MsgType.DIR_WB_GRANT] == [victim]
+    net.send(Message(MsgType.DIR_WB_DATA, owner, bank.node, victim,
+                     requestor=owner, data=9, dirty=True, extra="recall"))
+    net.send(Message(MsgType.DIR_WB_TOKEN, owner, bank.node, victim,
+                     requestor=owner, extra="cancelled"))
+    sim.run()
+    wb_reqs = [m for m in inboxes["mem"]
+               if m.mtype is MsgType.DIR_WB_REQ and m.addr == victim]
+    assert wb_reqs
+    assert bank.occupancy()[1] == 0  # no external transaction left open
+    assert bank.array.lookup(victim, touch=False) is None

@@ -58,35 +58,31 @@ PINNED_MODEL_TRANSITIONS = {
 }
 
 
-def _real_files():
-    return load_tree(default_root())
-
-
 # ---------------------------------------------------------------------------
 # Extraction on the real tree.
 # ---------------------------------------------------------------------------
-def test_real_tree_is_conformant():
-    assert ProtocolModelPass().check(_real_files()) == []
+def test_real_tree_is_conformant(repo_tree):
+    assert ProtocolModelPass().check(repo_tree) == []
 
 
-def test_pinned_controller_arm_counts():
-    ctrls = extract_controllers(_real_files())
+def test_pinned_controller_arm_counts(repo_tree):
+    ctrls = extract_controllers(repo_tree)
     assert {k: len(v.arms) for k, v in ctrls.items()} == PINNED_CONTROLLER_ARMS
 
 
-def test_pinned_model_transition_counts():
-    models = extract_models(_real_files())
+def test_pinned_model_transition_counts(repo_tree):
+    models = extract_models(repo_tree)
     assert {k: v.total for k, v in models.items()} == PINNED_MODEL_TRANSITIONS
 
 
-def test_artifact_matches_committed_baseline():
-    rendered = render_protomodel(build_model(_real_files()))
+def test_artifact_matches_committed_baseline(repo_tree):
+    rendered = render_protomodel(build_model(repo_tree))
     committed = (REPO_ROOT / "protomodel-baseline.json").read_text()
     assert rendered == committed
 
 
-def test_controller_arms_have_expected_shape():
-    ctrls = extract_controllers(_real_files())
+def test_controller_arms_have_expected_shape(repo_tree):
+    ctrls = extract_controllers(repo_tree)
     carriers = [
         a for a in ctrls["token/l1"].arms if "TOK_DATA" in a.mtypes
     ]
@@ -100,8 +96,8 @@ def test_controller_arms_have_expected_shape():
     assert any(s.startswith("TOK_DATA->") for s in transients[0].sends)
 
 
-def test_model_families_have_expected_shape():
-    models = extract_models(_real_files())
+def test_model_families_have_expected_shape(repo_tree):
+    models = extract_models(repo_tree)
     safety = models["TokenCMP-safety"].families
     assert safety["deliver*"].delta == "+"
     assert safety["send*->*"].delta == "-"
@@ -179,6 +175,24 @@ def test_fixture_controller_missing_transition(tmp_path):
     f = findings[0]
     assert f.path == path.as_posix()
     assert "TOK_RECREATE_REQ" in f.message and "recreate" in f.message
+
+
+def test_protocol_model_stable_over_one_loaded_tree(tmp_path):
+    path = _fixture(tmp_path, CONTROLLER_DRIFT_FIXTURE)
+    files = load_tree(default_root(), extra_files=[path])
+    first, _ = run_passes(files=files, passes=[ProtocolModelPass()])
+    second, _ = run_passes(files=files, passes=[ProtocolModelPass()])
+    assert [f.rule for f in first] == ["controller-missing-transition"]
+    assert second == first
+
+
+def test_build_model_stable_over_one_loaded_tree(tmp_path):
+    path = _fixture(tmp_path, CONTROLLER_DRIFT_FIXTURE)
+    files = load_tree(default_root(), extra_files=[path])
+    first = render_protomodel(build_model(files))
+    run_passes(files=files)
+    assert render_protomodel(build_model(files)) == first
+    assert first == (REPO_ROOT / "protomodel-baseline.json").read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Route tests: the graph-built cache vs the `_path` branch ladder.
 
-``Network._build_routes`` precomputes ``(src, dst) -> tuple[Link, ...]``
+``Network._build_routes`` precomputes ``src -> dst -> tuple[Link, ...]``
 for every node pair at construction from the compiled topology graph, so
 ``send`` never routes per message.  On the default (``ptp``) topology the
 ladder (``Network._path``) stays in the code as the executable reference;
@@ -44,7 +44,7 @@ def test_route_cache_matches_path_ladder_for_every_pair(config):
     assert len(nodes) == len(set(nodes))  # enumeration has no duplicates
     for src in nodes:
         for dst in nodes:
-            cached = net._routes[(src, dst)]
+            cached = net._routes_from[src][dst]
             assert cached == tuple(net._path(src, dst)), (src, dst)
 
 
@@ -52,7 +52,7 @@ def test_route_cache_matches_path_ladder_for_every_pair(config):
 def test_route_cache_covers_exactly_the_node_pair_square(config):
     net, _params = build(**CONFIGS[config])
     nodes = net._all_nodes()
-    assert len(net._routes) == len(nodes) ** 2
+    assert sum(len(row) for row in net._routes_from.values()) == len(nodes) ** 2
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -70,7 +70,7 @@ def test_all_machine_endpoints_are_in_the_enumeration(config):
 def test_self_route_is_empty():
     net, params = build(**CONFIGS["4x4"])
     for node in net._all_nodes():
-        assert net._routes[(node, node)] == ()
+        assert net._routes_from[node][node] == ()
 
 
 def test_arbiter_and_memory_colocated_route_is_empty():
@@ -80,15 +80,15 @@ def test_arbiter_and_memory_colocated_route_is_empty():
     for chip in range(params.num_chips):
         mem = NodeId(NodeKind.MEM, chip)
         arb = NodeId(NodeKind.ARB, chip)
-        assert net._routes[(mem, arb)] == ()
-        assert net._routes[(arb, mem)] == ()
+        assert net._routes_from[mem][arb] == ()
+        assert net._routes_from[arb][mem] == ()
 
 
 def test_cross_chip_arbiter_route_uses_mem_and_inter_links():
     net, params = build(**CONFIGS["4x4"])
     arb0 = NodeId(NodeKind.ARB, 0)
     mem1 = NodeId(NodeKind.MEM, 1)
-    names = [link.name for link in net._routes[(arb0, mem1)]]
+    names = [link.name for link in net._routes_from[arb0][mem1]]
     assert names == ["mem-in:0", "inter:0", "mem-out:1"]
 
 
@@ -98,11 +98,11 @@ def test_iface_egress_skips_its_own_intra_link():
     net, params = build(**CONFIGS["4x4"])
     iface0 = params.iface_of(0)
     l1_remote = params.l1d_of(params.procs_per_chip)  # first proc on chip 1
-    names = [link.name for link in net._routes[(iface0, l1_remote)]]
+    names = [link.name for link in net._routes_from[iface0][l1_remote]]
     assert names[0] == "inter:0"
     # ... and a message *to* an interface stops at the inter link.
     l1_local = params.l1d_of(0)
-    names = [link.name for link in net._routes[(l1_local, params.iface_of(1))]]
+    names = [link.name for link in net._routes_from[l1_local][params.iface_of(1)]]
     assert names[-1] == "inter:0"
 
 
@@ -124,24 +124,19 @@ def test_send_uses_cached_route(monkeypatch):
     assert len(seen) == 1
 
 
-def test_unknown_pair_falls_back_to_ladder_lazily():
-    # Ad-hoc endpoints outside the machine enumeration still route: the
-    # ladder runs once and the result is memoized.
+def test_unrouted_pair_raises_config_error():
+    # Every registered endpoint is a topology endpoint, so a pair missing
+    # from the route table is a configuration error, like an unregistered
+    # endpoint.
     net, params = build(**CONFIGS["2-chip"])
-    sim = net.sim
     src = NodeId(NodeKind.MEM, 0)
     dst = NodeId(NodeKind.MEM, 1)
-    # Simulate a pair outside the enumeration: drop it from both views
-    # of the route cache (the flat table and the nested hot-path table).
-    del net._routes[(src, dst)]
     del net._routes_from[src][dst]
-    seen = []
-    net.register(dst, seen.append)
-    net.send(Message(MsgType.TOK_ACK, src, dst, 0))
-    sim.run()
-    assert len(seen) == 1
-    assert (src, dst) in net._routes  # memoized for the next send
-    assert net._routes_from[src][dst] == net._routes[(src, dst)]
+    net.register(dst, lambda msg: None)
+    with pytest.raises(ConfigError, match="no route"):
+        net.send(Message(MsgType.TOK_ACK, src, dst, 0))
+    with pytest.raises(ConfigError, match="no route"):
+        net.send_fanout(Message(MsgType.TOK_ACK, src, src, 0), (dst,))
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -175,7 +170,7 @@ def test_mem_to_remote_iface_stops_at_the_inter_link():
     # its own intra egress link (ladder and graph agree).
     net, params = build(**CONFIGS["4x4"])
     mem0 = NodeId(NodeKind.MEM, 0)
-    names = [l.name for l in net._routes[(mem0, params.iface_of(1))]]
+    names = [l.name for l in net._routes_from[mem0][params.iface_of(1)]]
     assert names == ["mem-in:0", "inter:0"]
 
 
@@ -192,8 +187,7 @@ def test_mesh_routes_take_multiple_inter_hops():
                           topology=Topology.mesh())
     net = Network(Simulator(), params, TrafficMeter())
     # Mesh corners (2x4 grid: chips 0 and 7) are several hops apart.
-    names = [l.name for l in net._routes[(params.l1d_of(0),
-                                          params.l1d_of(15))]]
+    names = [l.name for l in net._routes_from[params.l1d_of(0)][params.l1d_of(15)]]
     inter_hops = [n for n in names if n.startswith("inter:")]
     assert len(inter_hops) >= 3
     # Every hop goes router-to-adjacent-router (a>b edge labels).

@@ -7,6 +7,7 @@ no false positives on the code we ship, no false negatives on the bug
 classes the passes exist to catch.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from repro.staticcheck.dispatch import DispatchPass
 from repro.staticcheck.findings import Finding
 from repro.staticcheck.pooling import PoolDisciplinePass
 from repro.staticcheck.purity import PurityPass
+from repro.staticcheck.runner import default_root
 from repro.staticcheck.source import parse_source
 from repro.staticcheck.tokens import TokenDisciplinePass
 
@@ -51,8 +53,8 @@ def _run_fixture(tmp_path: Path, text: str, passes=None):
 # ---------------------------------------------------------------------------
 # The shipped tree is clean.
 # ---------------------------------------------------------------------------
-def test_repo_tree_is_clean():
-    findings, pass_ids = run_passes()
+def test_repo_tree_is_clean(repo_tree):
+    findings, pass_ids = run_passes(files=repo_tree)
     assert pass_ids == [
         "dispatch", "protocol-model", "determinism", "tokens", "purity",
         "pooling", "suppressions",
@@ -108,6 +110,28 @@ def test_dispatch_reports_removed_arm_at_ladder_line(tmp_path):
     assert "PERSIST_DEACTIVATE" in f.message
     # The message cites a real send site proving reachability.
     assert "repro/core/" in f.message
+
+
+def test_dispatch_findings_stable_over_one_loaded_tree(tmp_path):
+    # The passes share one set of ASTs: a second run over the same
+    # loaded tree must see exactly what the first one saw.
+    path = tmp_path / "broken_ctrl.py"
+    path.write_text(DROPPED_ARM_FIXTURE)
+    files = load_tree(default_root(), extra_files=[path])
+    first, _ = run_passes(files=files, passes=[DispatchPass()])
+    second, _ = run_passes(files=files, passes=[DispatchPass()])
+    assert [f.rule for f in first if f.path == path.as_posix()] == [
+        "dispatch-unhandled"
+    ]
+    assert second == first
+
+
+def test_passes_leave_shared_asts_untouched(repo_tree):
+    run_passes(files=repo_tree)
+    for src in repo_tree:
+        for node in ast.walk(src.tree):
+            extra = set(vars(node)) - set(node._fields) - set(node._attributes)
+            assert not extra, (src.path, getattr(node, "lineno", 0), extra)
 
 
 def test_dispatch_clean_when_all_arms_present(tmp_path):
