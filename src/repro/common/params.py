@@ -162,6 +162,20 @@ class SystemParams:
         bank = (self.block_index(addr) // self.num_chips) % self.l2_banks_per_chip
         return NodeId(NodeKind.L2, chip, bank)
 
+    @property
+    def interleave_slots(self) -> int:
+        """Number of distinct (home chip, L2 bank) interleavings."""
+        return self.num_chips * self.l2_banks_per_chip
+
+    def interleave_slot(self, addr: int) -> int:
+        """``addr``'s (home chip, L2 bank) interleaving as one index.
+
+        :meth:`home_chip` and :meth:`l2_bank` depend on the address only
+        through this slot, so a set built from them (a broadcast's
+        destinations) is the same for every block of one slot.
+        """
+        return self.block_index(addr) % (self.num_chips * self.l2_banks_per_chip)
+
     def proc_chip(self, proc: int) -> int:
         return proc // self.procs_per_chip
 

@@ -14,7 +14,7 @@ The L1 data cache is where processor misses turn into coherence activity:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.rng import substream
 from repro.common.types import NodeId, NodeKind
@@ -23,6 +23,7 @@ from repro.core.predictor import ContentionPredictor
 from repro.core.timeout import TimeoutEstimator
 from repro.cpu.ops import Load, Rmw, Store, is_write
 from repro.interconnect.message import Message, MsgType
+from repro.interconnect.network import FanoutPlan
 from repro.sim.kernel import Event
 
 
@@ -64,14 +65,14 @@ class TokenL1Controller(TokenCacheController):
         self.rng = substream(seed, "l1", self.node)
         self.destset = None  # per-chip predictor, wired by the builder
         self._tx: Dict[int, Transaction] = {}
-        # Interned destination sets, keyed by block address: broadcast
-        # fan-out reuses one frozen tuple per (block, scope) instead of
-        # rebuilding the list on every miss.  Workload footprints are
-        # bounded, so the caches are too.
-        self._dests_local: Dict[int, Tuple[NodeId, ...]] = {}
-        self._dests_global: Dict[int, Tuple[NodeId, ...]] = {}
-        self._dests_flat: Dict[int, Tuple[NodeId, ...]] = {}
-        self._pers_dests: Dict[int, Tuple[NodeId, ...]] = {}
+        # Broadcast fan-out plans per interleave slot, filled on first
+        # use: every broadcast set below depends on the block only
+        # through its home chip and L2 bank, so one plan per slot serves
+        # every block of that slot.
+        slots = self.params.interleave_slots
+        self._local_plans: List[Optional[FanoutPlan]] = [None] * slots
+        self._global_plans: List[Optional[FanoutPlan]] = [None] * slots
+        self._pers_plans: List[Optional[FanoutPlan]] = [None] * slots
 
     def _writeback_destination(self, addr: int) -> NodeId:
         return self.params.l2_bank(addr, self.chip)
@@ -151,20 +152,21 @@ class TokenL1Controller(TokenCacheController):
         self._send_transient(tx, global_=False)
         tx.timer = self.sim.schedule(self.estimator.threshold_ps(), self._on_timeout, tx)
 
-    def _transient_destinations(self, addr: int, global_: bool) -> Tuple[NodeId, ...]:
+    def _transient_plan(self, addr: int, global_: bool) -> FanoutPlan:
         if self.cfg.flat_policy:
-            # TokenB: flat broadcast to every cache in the machine.
-            cached = self._dests_flat.get(addr)
-            if cached is not None:
-                return cached
-            dests = [n for n in self.params.token_holders(addr) if n != self.node]
-            dests.append(self.params.home_mem(addr))
-            self._dests_flat[addr] = cached = tuple(dests)
-            return cached
-        cache = self._dests_global if global_ else self._dests_local
-        cached = cache.get(addr)
-        if cached is not None:
-            return cached
+            # TokenB: flat broadcast to every cache in the machine, which
+            # is the persistent-request set.
+            return self._persistent_plan(addr)
+        plans = self._global_plans if global_ else self._local_plans
+        slot = self.params.interleave_slot(addr)
+        plan = plans[slot]
+        if plan is None:
+            plan = plans[slot] = self.net.fanout_plan(
+                self.node, self._transient_destinations(addr, global_)
+            )
+        return plan
+
+    def _transient_destinations(self, addr: int, global_: bool) -> List[NodeId]:
         dests = [n for n in self.params.chip_l1s(self.chip) if n != self.node]
         dests.append(self.params.l2_bank(addr, self.chip))
         if global_:
@@ -172,20 +174,19 @@ class TokenL1Controller(TokenCacheController):
                 if chip != self.chip:
                     dests.append(self.params.l2_bank(addr, chip))
             dests.append(self.params.home_mem(addr))
-        cache[addr] = cached = tuple(dests)
-        return cached
+        return dests
 
     def _send_transient(self, tx: Transaction, global_: bool) -> None:
         mtype = MsgType.TOK_GETX if tx.is_write else MsgType.TOK_GETS
         self.stats.bump("policy.transient_requests")
-        dests = self._transient_destinations(tx.addr, global_)
+        plan = self._transient_plan(tx.addr, global_)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.tx_transient(self.node, tx.addr, global_, len(dests))
+            tracer.tx_transient(self.node, tx.addr, global_, len(plan.dests))
         pool = self.pool
         template = pool.acquire(mtype, self.node, self.node, tx.addr)
         template.requestor = self.node
-        self.net.send_fanout(template, dests)
+        self.net.send_fanout(template, plan)
         pool.release(template)
 
     def _on_timeout(self, tx: Transaction) -> None:
@@ -298,18 +299,23 @@ class TokenL1Controller(TokenCacheController):
         template.prio = self.prio
         template.read = read
         template.extra = self.proc
-        self.net.send_fanout(template, self._persistent_broadcast_set(tx.addr))
+        self.net.send_fanout(template, self._persistent_plan(tx.addr))
         pool.release(template)
         self._token_state_changed(tx.addr)
 
-    def _persistent_broadcast_set(self, addr: int) -> Tuple[NodeId, ...]:
-        cached = self._pers_dests.get(addr)
-        if cached is not None:
-            return cached
+    def _persistent_plan(self, addr: int) -> FanoutPlan:
+        slot = self.params.interleave_slot(addr)
+        plan = self._pers_plans[slot]
+        if plan is None:
+            plan = self._pers_plans[slot] = self.net.fanout_plan(
+                self.node, self._persistent_broadcast_set(addr)
+            )
+        return plan
+
+    def _persistent_broadcast_set(self, addr: int) -> List[NodeId]:
         dests = [n for n in self.params.token_holders(addr) if n != self.node]
         dests.append(self.params.home_mem(addr))
-        self._pers_dests[addr] = cached = tuple(dests)
-        return cached
+        return dests
 
     def _deactivate(self, tx: Transaction) -> None:
         if self.cfg.activation == "arb":
@@ -338,7 +344,7 @@ class TokenL1Controller(TokenCacheController):
         template = pool.acquire(MsgType.PERSIST_DEACTIVATE, self.node, self.node, tx.addr)
         template.requestor = self.node
         template.extra = self.proc
-        self.net.send_fanout(template, self._persistent_broadcast_set(tx.addr))
+        self.net.send_fanout(template, self._persistent_plan(tx.addr))
         pool.release(template)
 
     def _on_deactivate(self, msg: Message) -> None:

@@ -14,13 +14,14 @@ two performance-policy roles (Section 4):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.types import NodeId, NodeKind
 from repro.core.base import TokenCacheController
 from repro.core.filter import SharerFilter
 from repro.core.ledger import ChipTokenLedger
 from repro.interconnect.message import Message, MsgType
+from repro.interconnect.network import FanoutPlan
 
 
 class TokenL2Controller(TokenCacheController):
@@ -34,10 +35,12 @@ class TokenL2Controller(TokenCacheController):
         # when the variant uses multicast): the chip's L1s train it with
         # the responses they receive; the gateway consults it.
         self.destset = None
-        # Interned fan-out sets: the chip's L1 population is fixed, and
-        # the all-chips escalation set varies only with the block's home.
+        # Fan-out plans, filled on first use: the chip's L1 population is
+        # fixed, and the all-chips escalation set depends on the block
+        # only through its interleave slot (its home chip).
         self._local_l1s: Tuple[NodeId, ...] = tuple(self.params.chip_l1s(self.chip))
-        self._esc_dests: Dict[int, Tuple[NodeId, ...]] = {}
+        self._rebroadcast_plan: Optional[FanoutPlan] = None
+        self._esc_plans: List[Optional[FanoutPlan]] = [None] * self.params.interleave_slots
 
     def _writeback_destination(self, addr: int) -> NodeId:
         return self.params.home_mem(addr)
@@ -78,7 +81,7 @@ class TokenL2Controller(TokenCacheController):
         predicted destination set) plus home memory."""
         self.stats.bump("l2.escalations")
         addr = msg.addr
-        dests = None
+        plan = None
         multicast = False
         if self.destset is not None:
             predicted = self.destset.predict(addr, self.params.all_chips(), self.chip)
@@ -87,24 +90,26 @@ class TokenL2Controller(TokenCacheController):
                 self.stats.bump("l2.multicasts")
                 dests = [self.params.l2_bank(addr, chip) for chip in predicted]
                 dests.append(self.params.home_mem(addr))
-        if dests is None:
-            dests = self._esc_dests.get(addr)
-            if dests is None:
+                plan = self.net.fanout_plan(self.node, dests)
+        if plan is None:
+            slot = self.params.interleave_slot(addr)
+            plan = self._esc_plans[slot]
+            if plan is None:
                 dests = [
                     self.params.l2_bank(addr, chip)
                     for chip in self.params.all_chips()
                     if chip != self.chip
                 ]
                 dests.append(self.params.home_mem(addr))
-                self._esc_dests[addr] = dests = tuple(dests)
+                plan = self._esc_plans[slot] = self.net.fanout_plan(self.node, dests)
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.tx_escalate(
                 msg.requestor, addr,
-                via=self.node, ndests=len(dests), multicast=multicast,
+                via=self.node, ndests=len(plan.dests), multicast=multicast,
             )
         template = self._forward_template(msg)
-        self.net.send_fanout(template, dests)
+        self.net.send_fanout(template, plan)
         self.pool.release(template)
 
     def _rebroadcast(self, msg: Message) -> None:
@@ -113,12 +118,15 @@ class TokenL2Controller(TokenCacheController):
         if self.filter is not None:
             dests = self.filter.destinations(msg.addr, l1s)
             self.stats.bump("l2.filter_suppressed", len(l1s) - len(dests))
+            if not dests:
+                return
+            plan = self.net.fanout_plan(self.node, dests)
         else:
-            dests = l1s
-        if not dests:
-            return
+            plan = self._rebroadcast_plan
+            if plan is None:
+                plan = self._rebroadcast_plan = self.net.fanout_plan(self.node, l1s)
         template = self._forward_template(msg)
-        self.net.send_fanout(template, dests)
+        self.net.send_fanout(template, plan)
         self.pool.release(template)
 
     def _forward_template(self, msg: Message) -> Message:

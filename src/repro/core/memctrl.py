@@ -174,13 +174,10 @@ class TokenMemController:
         pool = self.pool
         template = pool.acquire(MsgType.TOK_RECREATE_EPOCH, self.node, self.node, addr)
         template.epoch = rec.epoch
-        self.net.send_fanout(
-            template,
-            (
-                dst for dst in self.params.token_holders(addr)
-                if not (only_unacked and dst in rec.acked)
-            ),
-        )
+        holders = self.params.token_holders(addr)
+        if only_unacked:
+            holders = [dst for dst in holders if dst not in rec.acked]
+        self.net.send_fanout(template, self.net.fanout_plan(self.node, holders))
         pool.release(template)
 
     def _on_recreate_ack(self, msg: Message) -> None:

@@ -43,13 +43,19 @@ precomputed at construction time:
 * **integer link serialization** — each :class:`Link` folds its
   bandwidth into an exact integer numerator/denominator pair at
   construction, so ``traverse`` is pure integer arithmetic (no float
-  rounding, no platform-dependent timing).
+  rounding, no platform-dependent timing);
+* **interned fan-out plans** — :meth:`Network.fanout_plan` is the one
+  intern point for broadcast destination sets: it canonicalizes a set by
+  value and builds its :class:`FanoutPlan` (per-destination endpoint and
+  route, per-scope link counts) at most once per distinct (source, set)
+  pair on this network.  ``send_fanout`` takes the plan, so a broadcast
+  resolves nothing per destination.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
@@ -147,6 +153,22 @@ class BufferedLink(Link):
 Handler = Callable[[Message], None]
 
 
+class FanoutPlan(NamedTuple):
+    """A broadcast from ``src`` to ``dests``, resolved once per network.
+
+    ``pairs`` holds one ``(dst, endpoint, route)`` triple per destination,
+    in ``dests`` order (the order clones are sent in), and
+    ``scope_links`` the total link count per scope, for aggregate
+    metering.  Obtain plans from :meth:`Network.fanout_plan`, which
+    interns them.
+    """
+
+    src: NodeId
+    dests: Tuple[NodeId, ...]
+    pairs: Tuple[Tuple[NodeId, Handler, Tuple[Link, ...]], ...]
+    scope_links: Tuple[Tuple[Scope, int], ...]
+
+
 class Network:
     """Routes messages between registered endpoints, collecting traffic."""
 
@@ -191,14 +213,8 @@ class Network:
         # Freelist of recyclable Message records; controllers acquire at
         # send and release at final delivery (see MessagePool).
         self.pool = MessagePool()
-        # Fan-out plans, keyed by destination-tuple identity: broadcasts
-        # use interned destination tuples, so the (endpoint, route) pairs
-        # and the per-scope link counts of a fan-out are resolved once
-        # per (src, dests) instead of per message.  Each entry keeps a
-        # strong reference to its dests tuple, so the id key cannot be
-        # reused while the entry lives; the identity re-check catches a
-        # same-src fan-out to a different (non-interned) tuple.
-        self._fanout_plans: Dict[NodeId, Dict[int, tuple]] = {}
+        # Interned fan-out plans, keyed by (src, dests) value (``fanout_plan``).
+        self._fanout_plans: Dict[Tuple[NodeId, Tuple[NodeId, ...]], FanoutPlan] = {}
 
     def _build_links(self) -> None:
         """Instantiate one :class:`Link` per compiled :class:`LinkSpec`."""
@@ -294,14 +310,32 @@ class Network:
             tracer.msg_send(msg, nbytes=nbytes, hops=len(route), arrival_ps=arrival)
             sim.call_at(arrival, self._deliver_traced, msg)
 
-    def send_fanout(self, template: Message, dests) -> None:
-        """Clone ``template`` to every destination, sending each clone.
+    def fanout_plan(self, src: NodeId, dests: Iterable[NodeId]) -> FanoutPlan:
+        """The interned plan for broadcasting from ``src`` to ``dests``.
+
+        ``dests`` is canonicalized by value to a tuple (order kept: it is
+        the send order), and the plan is built at most once per distinct
+        ``(src, dests)`` on this network.  Callers with a stable set keep
+        the returned plan; a set computed per call costs one hashed
+        lookup.  A destination without a registered endpoint or a route
+        raises ``ConfigError``, as in ``send``.
+        """
+        dests = tuple(dests)
+        key = (src, dests)
+        plan = self._fanout_plans.get(key)
+        if plan is None:
+            plan = self._fanout_plans[key] = self._build_fanout_plan(src, dests)
+        return plan
+
+    def send_fanout(self, template: Message, plan: FanoutPlan) -> None:
+        """Clone ``template`` to every destination of ``plan``, sending each.
 
         The pooled fast path of the template/``clone_to`` broadcast idiom:
         clones come from the message pool (one dict stamp per destination,
         no allocation in steady state) and each is released by its
         receiving controller when its dispatch completes.  The template
         itself stays with the caller, which releases it after the fan-out.
+        ``plan`` comes from :meth:`fanout_plan` for ``template.src``.
 
         Fault-injection wrappers deliberately do not override this: the
         messages that fan out (transient requests, persistent activates/
@@ -309,48 +343,33 @@ class Network:
         tracking has nothing to track, and fault policies apply at arrival
         through the wrapped endpoint handlers either way.
         """
+        assert plan.src == template.src, "fan-out plan built for another source"
         pool = self.pool
         send = self.send
         if not pool.enabled:
-            for dst in dests:
+            for dst in plan.dests:
                 send(template.clone_to(dst))
             return
         clone = pool.clone
         sim = self.sim
         if sim.tracer is not None:
-            for dst in dests:
+            for dst in plan.dests:
                 send(clone(template, dst))
             return
         # Untraced pooled fast path: every clone shares the template's
-        # src/mtype, so the route row, wire size and metering keys are
-        # resolved once for the whole fan-out instead of per destination,
-        # and the (endpoint, route) pairs plus per-scope link counts come
-        # from a plan cached by destination-tuple identity (broadcast
-        # dest tuples are interned per controller).  Clone order, link
+        # src/mtype, so the wire size and metering keys are resolved once
+        # for the whole fan-out, and the (endpoint, route) pairs plus
+        # per-scope link counts come from the plan.  Clone order, link
         # busy_until order and event (time, seq) order are identical to
         # the per-destination ``send`` loop; metering is applied as one
         # aggregate bump per scope — same final counters, addition is
         # commutative and the meter is only read between events.
-        src = template.src
-        row = self._fanout_plans.get(src)
-        if row is None:
-            row = self._fanout_plans[src] = {}
-        entry = row.get(id(dests))
-        if entry is None or entry[0] is not dests:
-            entry = self._build_fanout_plan(src, dests)
-            if len(row) >= 64:
-                # Callers are expected to intern their destination tuples;
-                # a caller that does not would otherwise grow the cache
-                # (and pin its tuples) without bound.
-                row.clear()
-            row[id(dests)] = entry
-        _dests, pairs, scope_links = entry
         mtype = template.mtype
         nbytes = self._data_bytes if mtype.has_data else self._ctrl_bytes
         keys = self._meter_keys[mtype.klass]
         mbytes = self._meter_bytes
         mmsgs = self._meter_msgs
-        for scope, nlinks in scope_links:
+        for scope, nlinks in plan.scope_links:
             mbytes[keys[scope]] += nbytes * nlinks
             mmsgs[scope] += nlinks
         now = sim._now
@@ -363,7 +382,7 @@ class Network:
         queue = sim._queue
         efree = sim._free_events
         pending = 0
-        for dst, endpoint, route in pairs:
+        for dst, endpoint, route in plan.pairs:
             # Inlined pool.clone (same counter and uid-draw order).
             pool.acquires += 1
             if free:
@@ -406,16 +425,9 @@ class Network:
             heappush(queue, event)
         sim._pending += pending
 
-    def _build_fanout_plan(self, src: NodeId, dests):
-        """Resolve a broadcast's per-destination (endpoint, route) pairs.
-
-        Returns ``(dests, pairs, scope_links)`` — the dests tuple itself
-        (kept so the identity-keyed cache holds its key alive), one
-        ``(dst, endpoint, route)`` triple per destination, and the total
-        link count per scope for aggregate metering.  A destination
-        without a registered endpoint or a route raises ``ConfigError``,
-        as in ``send``.
-        """
+    def _build_fanout_plan(self, src: NodeId, dests: Tuple[NodeId, ...]) -> FanoutPlan:
+        """Resolve a broadcast's per-destination (endpoint, route) pairs
+        and per-scope link counts; :meth:`fanout_plan` interns the result."""
         by_dst = self._route_row(src) or {}
         endpoint_of = self._endpoint_of
         pairs = []
@@ -431,12 +443,7 @@ class Network:
             for link in route:
                 scope = link.scope
                 counts[scope] = counts.get(scope, 0) + 1
-        return (dests, tuple(pairs), tuple(counts.items()))
-
-    def release(self, msg: Message) -> None:
-        """Return a delivered pooled message to the pool (no-op for
-        messages the pool does not own, including with pooling off)."""
-        self.pool.release(msg)
+        return FanoutPlan(src, dests, tuple(pairs), tuple(counts.items()))
 
     def _deliver_traced(self, msg: Message) -> None:
         """Delivery shim used while tracing: emit ``msg.recv``, then act.

@@ -425,8 +425,7 @@ def bench_alloc_steady_state(warmup_events: int = 40_000,
 
 # Retained-growth ceiling per measurement window, in allocator blocks.
 # The steady-state sawtooth (latency-percentile sample retention,
-# first-touch interning, fan-out plan rows filling to their bound and
-# clearing) peaks around 0.45 blocks/event and is bounded, not
+# first-touch interning) peaks around 0.45 blocks/event and is bounded, not
 # accumulating; a single leaked message or event record per simulated
 # event would cost ~4+ blocks/event (~40k/window), so this budget keeps
 # ~5x of air while still catching any per-event leak.

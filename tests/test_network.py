@@ -5,6 +5,8 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
 from repro.common.types import NodeId, NodeKind, ns
+from repro.exp.library import fig6_smoke_cell
+from repro.exp.runner import run_cell
 from repro.interconnect.message import Message, MsgType
 from repro.interconnect.network import Network
 from repro.interconnect.traffic import Scope, TrafficClass, TrafficMeter
@@ -191,3 +193,39 @@ def test_traverse_matches_serialization_ps():
     # Back-to-back messages queue by exactly the serialization delay.
     second = link.traverse(0, 72)
     assert second == 2 * link.serialization_ps(72) + ns(2)
+
+
+# ---------------------------------------------------------------------------
+# Fan-out plans.
+# ---------------------------------------------------------------------------
+def test_fanout_plan_is_interned_by_value_per_network():
+    sim, meter, net, p = build()
+    src = p.l1d_of(0)
+    dests = [n for n in p.chip_l1s(0) if n != src]
+    _, _, other, _ = build(p)
+    for network in (net, other):
+        for dst in dests:
+            network.register(dst, lambda m: None)
+    plan = net.fanout_plan(src, dests)
+    assert plan.dests == tuple(dests)
+    assert net.fanout_plan(src, tuple(dests)) is plan  # equal set, same plan
+    assert net.fanout_plan(src, dests[::-1]) is not plan  # order = send order
+    assert other.fanout_plan(src, dests) is not plan  # one table per machine
+
+
+def test_fig6_smoke_builds_one_plan_per_distinct_broadcast_set(monkeypatch):
+    # Every fan-out needs a plan for its (source, destination set), so the
+    # set of build arguments is the set of pairs the cell broadcast to.
+    # Each pair must be built once (236 builds for this cell), however
+    # many blocks or broadcasts share it.
+    built = []
+    build_plan = Network._build_fanout_plan
+
+    def counted_build(net, src, dests):
+        built.append((src, tuple(dests)))
+        return build_plan(net, src, dests)
+
+    monkeypatch.setattr(Network, "_build_fanout_plan", counted_build)
+    run_cell(fig6_smoke_cell())
+    assert built
+    assert len(built) == len(set(built))

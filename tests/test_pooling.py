@@ -141,6 +141,28 @@ def test_pooling_on_off_metrics_identical(monkeypatch):
         == _metrics_blob(cell, monkeypatch, "0")
 
 
+@pytest.mark.parametrize("protocol, exercised", [
+    ("TokenCMP-dst1-filt", "l2.filter_suppressed"),
+    ("TokenCMP-dst1-mcast", "l2.multicasts"),
+    ("TokenB", "policy.transient_requests"),
+])
+def test_pooling_on_off_identical_for_per_call_destination_sets(
+        monkeypatch, protocol, exercised):
+    # Filtered rebroadcasts and predicted multicasts build their
+    # destination sets per call, and TokenB broadcasts machine-wide.  With
+    # pooling off a fan-out takes the plan-free send(clone_to(dst)) loop,
+    # so it is the oracle for the pooled plan path.  Four chips, so a
+    # predicted multicast set can differ from the full broadcast.
+    cell = _small_cell(protocol=protocol,
+                       params=SystemParams(num_chips=4, procs_per_chip=2,
+                                           tokens_per_block=32))
+    monkeypatch.setenv("REPRO_POOLING", "1")
+    pooled = run_cell(cell)
+    assert pooled.get(exercised) > 0
+    assert json.dumps(pooled.metrics(), sort_keys=True) \
+        == _metrics_blob(cell, monkeypatch, "0")
+
+
 def test_pooling_on_off_identical_under_fault_injector(monkeypatch):
     # The injector's ledger absorbs, duplicates and re-emits messages —
     # the hardest interplay for ownership bookkeeping.

@@ -136,7 +136,7 @@ def test_unrouted_pair_raises_config_error():
     with pytest.raises(ConfigError, match="no route"):
         net.send(Message(MsgType.TOK_ACK, src, dst, 0))
     with pytest.raises(ConfigError, match="no route"):
-        net.send_fanout(Message(MsgType.TOK_ACK, src, src, 0), (dst,))
+        net.fanout_plan(src, (dst,))
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
