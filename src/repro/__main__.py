@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.common import canonjson
 from repro.common.params import SystemParams
 from repro.exp.runner import Runner, run_cell
 from repro.exp.spec import Cell
@@ -96,18 +97,13 @@ def _cell_from_args(args, protocol: str, check_invariants: bool = False,
 
 def _emit_telemetry(result, out_path) -> None:
     """Write/print one result's telemetry document (shared by commands)."""
-    from repro.obs.telemetry import render_saturation, write_telemetry
+    from repro.obs.telemetry import render_saturation
 
     if result.telemetry is None:
         return
     print(render_saturation(result.telemetry))
     if out_path:
-        import os
-
-        parent = os.path.dirname(out_path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        write_telemetry(out_path, result.telemetry)
+        canonjson.write(out_path, result.telemetry)
         print(f"wrote {out_path}")
 
 
@@ -220,8 +216,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    import os
-
     from repro.obs import (
         KernelProfiler,
         SpanBuilder,
@@ -238,9 +232,6 @@ def cmd_trace(args) -> int:
                            telemetry=_telemetry_from_args(args))
     result = run_cell(cell, tracer=tracer, profiler=profiler)
     report = SpanBuilder().build(tracer.events)
-    parent = os.path.dirname(args.trace_out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     doc = write_chrome_trace(args.trace_out, tracer.events, report)
     if args.validate:
         count = validate_chrome_trace(doc)
@@ -256,11 +247,7 @@ def cmd_trace(args) -> int:
         print()
         print(profiler.report())
         if args.profile_out:
-            import json
-
-            with open(args.profile_out, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(profiler.to_dict(), sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+            canonjson.write(args.profile_out, profiler.to_dict())
             print(f"wrote {args.profile_out}")
     _emit_telemetry(result, getattr(args, "telemetry_out", None))
     return 0
@@ -274,9 +261,7 @@ def cmd_telemetry(args) -> int:
     result = run_cell(cell)
     validate_telemetry(result.telemetry)
     if args.json:
-        from repro.obs.telemetry import render_telemetry
-
-        print(render_telemetry(result.telemetry), end="")
+        print(canonjson.render(result.telemetry), end="")
         return 0
     doc = result.telemetry
     print(f"protocol   {args.protocol}")
@@ -288,32 +273,23 @@ def cmd_telemetry(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    import json
-
-    from repro.obs.diff import (
-        diff_report, parse_gate, render_diff_json, render_diff_report,
-    )
+    from repro.obs.diff import diff_report, parse_gate, render_diff_report
 
     try:
         gates = [parse_gate(text) for text in args.gate]
-        docs = []
-        for path in (args.a, args.b):
-            with open(path, encoding="utf-8") as fh:
-                docs.append(json.load(fh))
+        docs = [canonjson.load(path) for path in (args.a, args.b)]
     except (OSError, ValueError) as err:
         print(f"diff: {err}", file=sys.stderr)
         return 2
     report = diff_report(docs[0], docs[1], gates)
     if args.json:
-        print(render_diff_json(report), end="")
+        print(canonjson.render(report), end="")
     else:
         print(render_diff_report(report, show_all=args.show_all))
     return 0 if report["ok"] else 1
 
 
 def cmd_topo(args) -> int:
-    import json
-
     from repro.common.errors import ConfigError
 
     if not args.generator:
@@ -337,7 +313,7 @@ def cmd_topo(args) -> int:
         print(f"topo: {err}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(canonjson.render(doc), end="")
         return 0
     stats = doc["stats"]
     print(f"generator  {doc['generator']} "
@@ -389,8 +365,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from pathlib import Path
-
     from repro.staticcheck import (
         PASSES, diff_baseline, explain_rule, load_baseline, render_json,
         render_text, run_passes, write_baseline,
@@ -415,22 +389,26 @@ def cmd_lint(args) -> int:
                   file=sys.stderr)
             return 2
 
-    from repro.staticcheck.protomodel import build_model, render_protomodel
+    try:
+        baseline = {} if args.update_baseline else load_baseline(args.baseline)
+    except (OSError, ValueError) as err:
+        print(f"lint: {err}", file=sys.stderr)
+        return 2
+
+    from repro.staticcheck.protomodel import build_model
     from repro.staticcheck.runner import default_root
     from repro.staticcheck.source import load_tree
 
     files = load_tree(default_root())
     findings, pass_ids = run_passes(files=files, passes=passes)
     if args.model_out is not None:
-        out_path = Path(args.model_out)
-        out_path.write_text(render_protomodel(build_model(files)))
-        print(f"wrote {out_path} (schema repro.protomodel/1)", file=sys.stderr)
-    baseline_path = Path(args.baseline)
+        canonjson.write(args.model_out, build_model(files))
+        print(f"wrote {args.model_out} (schema repro.protomodel/1)",
+              file=sys.stderr)
     if args.update_baseline:
-        write_baseline(baseline_path, findings)
-        print(f"wrote {baseline_path} ({len(findings)} finding(s) baselined)")
+        write_baseline(args.baseline, findings)
+        print(f"wrote {args.baseline} ({len(findings)} finding(s) baselined)")
         return 0
-    baseline = load_baseline(baseline_path)
     new, stale = diff_baseline(findings, baseline)
     if args.json:
         print(render_json(new, pass_ids), end="")
@@ -465,12 +443,9 @@ def cmd_faults(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    import os
-
     from repro.common.errors import ConfigError
     from repro.recovery.campaign import (
         CampaignConfig, render_text as render_campaign, run_campaign,
-        write_report,
     )
 
     try:
@@ -480,10 +455,7 @@ def cmd_campaign(args) -> int:
         return 2
     runner = _runner(args, progress=lambda msg: print(f"... {msg}"))
     report = run_campaign(config, runner, spans=not args.no_spans)
-    parent = os.path.dirname(args.out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    write_report(report, args.out)
+    canonjson.write(args.out, report)
     print(render_campaign(report))
     print(f"wrote {args.out}")
     return 1 if report["totals"]["failed"] else 0

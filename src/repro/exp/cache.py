@@ -18,11 +18,11 @@ stale entry at once.  Records live under ``<root>/<k[:2]>/<key>.json``
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import tempfile
 from typing import Optional
 
+from repro.common import canonjson
 from repro.exp.result import CellResult
 from repro.exp.spec import Cell
 
@@ -41,8 +41,7 @@ def cell_key(cell: Cell) -> str:
     """Stable content hash of a cell."""
     material = cell.key_material()
     material["schema"] = CACHE_SCHEMA
-    blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(canonjson.encode(material).encode()).hexdigest()
 
 
 class ResultCache:
@@ -64,12 +63,8 @@ class ResultCache:
     def load(self, key: str) -> Optional[CellResult]:
         """Return the cached result for ``key``, or ``None`` on a miss."""
         try:
-            with open(self.path(key)) as fh:
-                record = json.load(fh)
+            record = canonjson.load(self.path(key), CACHE_SCHEMA)
         except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if record.get("schema") != CACHE_SCHEMA:
             self.misses += 1
             return None
         result = CellResult.from_dict(record["result"])
@@ -85,7 +80,7 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(record, fh, sort_keys=True)
+                fh.write(canonjson.render(record))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

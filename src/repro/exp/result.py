@@ -14,6 +14,7 @@ import dataclasses
 import json
 from typing import Dict, Optional, Union
 
+from repro.common import canonjson
 from repro.common.stats import PERCENTILES  # noqa: F401  (canonical home)
 from repro.common.types import to_ns
 from repro.interconnect.traffic import Scope, TrafficClass
@@ -110,7 +111,7 @@ class CellResult:
 
     def to_json(self) -> str:
         """Canonical JSON — the determinism contract's unit of comparison."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonjson.encode(self.to_dict())
 
     def metrics(self) -> dict:
         """The canonical metrics-JSON document for this result.

@@ -17,7 +17,6 @@ and deterministic like every other exporter here.
 from __future__ import annotations
 
 import fnmatch
-import json
 from typing import Dict, List, Optional, Tuple, Union
 
 Number = Union[int, float]
@@ -208,8 +207,3 @@ def render_diff_report(report: dict, show_all: bool = False) -> str:
     for v in report["violations"]:
         lines.append(f"  GATE {v['gate']}: {v['key']} {v['why']}")
     return "\n".join(lines)
-
-
-def render_diff_json(report: dict) -> str:
-    """Canonical JSON form of the diff report."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"

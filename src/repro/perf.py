@@ -40,6 +40,8 @@ import sys
 from time import perf_counter
 from typing import Dict, List, Optional
 
+from repro.common import canonjson
+
 SCHEMA = "repro.bench_perf/1"
 ALLOC_SCHEMA = "repro.bench_alloc/1"
 
@@ -297,6 +299,7 @@ def bench_e2e_fig6_smoke(repeats: int = 3) -> Dict[str, object]:
         dt = perf_counter() - t0
         events = res.raw.machine.sim.events_fired
         runtime_ps = res.runtime_ps
+        # Not canonjson: the pinned metrics sha is over this exact encoding.
         blob = json.dumps(res.metrics(), sort_keys=True)
         digest = hashlib.sha256(blob.encode()).hexdigest()
         best = dt if best is None or dt < best else best
@@ -701,7 +704,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     return run_from_args(args)
 
 
-def _run_alloc_from_args(args: argparse.Namespace) -> int:
+#: Input document schemas by flag, all loaded before any suite runs.
+_INPUTS = {"check": SCHEMA, "merge_reference": SCHEMA,
+           "alloc_check": ALLOC_SCHEMA, "alloc_out": ALLOC_SCHEMA}
+
+
+def _load_inputs(args: argparse.Namespace) -> Dict[str, dict]:
+    """``--alloc-out`` is an input only when the file exists (its other
+    interpreters' entries are kept)."""
+    paths = {flag: getattr(args, flag, None) for flag in _INPUTS}
+    if paths["alloc_out"] and not os.path.exists(paths["alloc_out"]):
+        del paths["alloc_out"]
+    return {flag: canonjson.load(path, _INPUTS[flag])
+            for flag, path in paths.items() if path}
+
+
+def _run_alloc_from_args(args: argparse.Namespace, inputs: dict) -> int:
     print("... alloc (steady-state allocation accounting)")
     full = bench_alloc_steady_state()
     current = alloc_report(full)
@@ -711,21 +729,13 @@ def _run_alloc_from_args(args: argparse.Namespace) -> int:
           f"(budget {full['blocks_window_budget']}/window, "
           f"within={full['blocks_within_budget']})")
     if args.alloc_out:
-        merged = current
-        if os.path.exists(args.alloc_out):
-            with open(args.alloc_out) as fh:
-                merged = json.load(fh)
-            # Keep other interpreters' entries; replace only ours.
-            merged["schema"] = ALLOC_SCHEMA
-            merged.setdefault("python", {}).update(current["python"])
-        with open(args.alloc_out, "w") as fh:
-            json.dump(merged, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        merged = inputs.get("alloc_out", current)
+        # Keep other interpreters' entries; replace only ours.
+        merged.setdefault("python", {}).update(current["python"])
+        canonjson.write(args.alloc_out, merged)
         print(f"wrote {args.alloc_out}")
     if args.alloc_check:
-        with open(args.alloc_check) as fh:
-            committed = json.load(fh)
-        problems = compare_alloc(current, committed)
+        problems = compare_alloc(current, inputs["alloc_check"])
         if problems:
             for problem in problems:
                 print(f"ALLOC REGRESSION: {problem}", file=sys.stderr)
@@ -736,31 +746,29 @@ def _run_alloc_from_args(args: argparse.Namespace) -> int:
 
 
 def run_from_args(args: argparse.Namespace) -> int:
+    try:
+        inputs = _load_inputs(args)
+    except (OSError, ValueError) as err:
+        print(f"perf: {err}", file=sys.stderr)
+        return 2
     if getattr(args, "alloc_only", False):
-        return _run_alloc_from_args(args)
+        return _run_alloc_from_args(args, inputs)
     report = run_suite(quick=args.quick,
                        progress=lambda msg: print(f"... {msg}"))
     if args.merge_reference:
-        with open(args.merge_reference) as fh:
-            reference = json.load(fh)
-        attach_reference(report, reference, note=args.reference_note)
+        attach_reference(report, inputs["merge_reference"],
+                         note=args.reference_note)
     print()
     print(render(report))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        canonjson.write(args.out, report)
         print(f"wrote {args.out}")
     if args.stats_out:
-        with open(args.stats_out, "w") as fh:
-            json.dump(deterministic_stats(report), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+        canonjson.write(args.stats_out, deterministic_stats(report))
         print(f"wrote {args.stats_out}")
     rc = 0
     if args.check:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
+        baseline = inputs["check"]
         if "host" in baseline and baseline["host"] != report["host"]:
             print("note: baseline was recorded on a different machine; "
                   "timing is not gated (deterministic fields still are) — "
@@ -773,7 +781,7 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"no regression vs {args.check} "
               f"(tolerance {args.tolerance:.0%})")
     if args.alloc_out or args.alloc_check:
-        rc = _run_alloc_from_args(args)
+        rc = _run_alloc_from_args(args, inputs)
     return rc
 
 

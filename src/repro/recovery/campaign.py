@@ -37,9 +37,9 @@ Time-to-recover comes from two independent instruments:
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.common import canonjson
 from repro.common.errors import ConfigError
 from repro.common.params import SystemParams
 from repro.exp.runner import Runner, run_cell
@@ -170,8 +170,7 @@ class CampaignConfig:
 
     @classmethod
     def load(cls, path: str) -> "CampaignConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(canonjson.load(path))
 
     # ------------------------------------------------------------------
     def expand(self) -> List[Tuple[Scenario, Cell]]:
@@ -390,16 +389,6 @@ def run_campaign(
         "scenarios": scenario_records,
         "totals": {"cells": len(cell_records), **totals},
     }
-
-
-def render_report(report: dict) -> str:
-    """Canonical JSON: the campaign determinism contract's byte form."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
 
 
 def render_text(report: dict) -> str:

@@ -11,10 +11,10 @@ the file exists so CI fails the moment a new finding appears.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from repro.common import canonjson
 from repro.staticcheck.findings import Finding
 
 SCHEMA = "repro.staticcheck-baseline/1"
@@ -22,15 +22,9 @@ SCHEMA = "repro.staticcheck-baseline/1"
 
 def load_baseline(path: Path) -> Dict[str, int]:
     """Fingerprint -> allowed count.  A missing file is an empty baseline."""
-    path = Path(path)
-    if not path.exists():
+    if not Path(path).exists():
         return {}
-    doc = json.loads(path.read_text())
-    if doc.get("schema") != SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported baseline schema {doc.get('schema')!r} "
-            f"(expected {SCHEMA!r})"
-        )
+    doc = canonjson.load(path, SCHEMA)
     return {str(k): int(v) for k, v in doc.get("fingerprints", {}).items()}
 
 
@@ -45,7 +39,7 @@ def write_baseline(path: Path, findings: List[Finding]) -> None:
         "fingerprints": counts,
         "notes": notes,  # human orientation only; the gate keys on fingerprints
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    canonjson.write(path, doc)
 
 
 def diff_baseline(

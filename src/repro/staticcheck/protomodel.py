@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import json
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -564,10 +563,6 @@ def build_model(files: List[SourceFile]) -> Dict[str, object]:
             "models": {k: v.total for k, v in sorted(models.items())},
         },
     }
-
-
-def render_protomodel(doc: Dict[str, object]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

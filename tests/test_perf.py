@@ -5,12 +5,15 @@ logic (deterministic projection, regression comparison) with synthetic
 reports plus one tiny real microbenchmark run.
 """
 
+from pathlib import Path
+
 from repro.perf import (
     DETERMINISTIC_FIELDS,
     SCHEMA,
     bench_kernel_chain,
     compare,
     deterministic_stats,
+    main,
     render,
 )
 
@@ -91,3 +94,17 @@ def test_render_mentions_throughput_and_speedup():
     text = render(report)
     assert "kernel_chain" in text
     assert "1.52x" in text
+
+
+def test_gates_reject_a_wrong_schema_baseline_before_running(
+        monkeypatch, capsys):
+    # Both committed reports are valid JSON; swapping them must not pass
+    # a gate silently (the suite itself never runs here).
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    assert main(["--quick", "--check", "BENCH_alloc.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("perf: BENCH_alloc.json: schema is 'repro.bench_alloc/1', "
+                   "want 'repro.bench_perf/1'\n")
+    assert main(["--alloc-only", "--alloc-check", "BENCH_perf.json"]) == 2
+    assert main(["--alloc-only", "--alloc-out", "BENCH_perf.json"]) == 2
+    assert "want 'repro.bench_alloc/1'" in capsys.readouterr().err

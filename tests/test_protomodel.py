@@ -24,12 +24,12 @@ import sys
 import textwrap
 from pathlib import Path
 
+from repro.common import canonjson
 from repro.staticcheck.protomodel import (
     ProtocolModelPass,
     build_model,
     extract_controllers,
     extract_models,
-    render_protomodel,
 )
 from repro.staticcheck.runner import default_root, run_passes
 from repro.staticcheck.source import load_tree
@@ -76,7 +76,7 @@ def test_pinned_model_transition_counts(repo_tree):
 
 
 def test_artifact_matches_committed_baseline(repo_tree):
-    rendered = render_protomodel(build_model(repo_tree))
+    rendered = canonjson.render(build_model(repo_tree))
     committed = (REPO_ROOT / "protomodel-baseline.json").read_text()
     assert rendered == committed
 
@@ -189,9 +189,9 @@ def test_protocol_model_stable_over_one_loaded_tree(tmp_path):
 def test_build_model_stable_over_one_loaded_tree(tmp_path):
     path = _fixture(tmp_path, CONTROLLER_DRIFT_FIXTURE)
     files = load_tree(default_root(), extra_files=[path])
-    first = render_protomodel(build_model(files))
+    first = canonjson.render(build_model(files))
     run_passes(files=files)
-    assert render_protomodel(build_model(files)) == first
+    assert canonjson.render(build_model(files)) == first
     assert first == (REPO_ROOT / "protomodel-baseline.json").read_text()
 
 

@@ -540,6 +540,19 @@ def test_cli_exits_nonzero_on_seeded_violation(tmp_path):
     assert "purity-import" in rules
 
 
+def test_cli_bad_baseline_exits_2_naming_the_file(tmp_path):
+    # Exit 1 means "new findings"; an unusable baseline is a usage error.
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text('{"schema": "repro.staticcheck/1"}')
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{")
+    for path in (wrong, garbage):
+        proc = _lint("--baseline", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"lint: {path}: ")
+        assert "Traceback" not in proc.stderr
+
+
 def test_cli_update_baseline_then_clean(tmp_path):
     base = tmp_path / "base.json"
     proc = _lint("--baseline", str(base), "--update-baseline")

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from repro.common import canonjson
 from repro.exp.library import fig6_smoke_cell, mesh_params
 from repro.exp.runner import Runner, run_cell
 from repro.exp.spec import Cell
@@ -23,14 +24,12 @@ from repro.obs.diff import (
     diff_report,
     flatten_doc,
     parse_gate,
-    render_diff_json,
     render_diff_report,
 )
 from repro.obs.telemetry import (
     TELEMETRY_SCHEMA,
     TelemetryConfig,
     link_utilization_permille,
-    render_telemetry,
     saturation_windows,
     validate_telemetry,
 )
@@ -179,8 +178,8 @@ def test_result_roundtrips_through_dict():
 # Determinism: repeats, job counts, hash seeds.
 # ---------------------------------------------------------------------------
 def test_byte_identical_across_repeats():
-    first = render_telemetry(run_cell(_small_cell()).telemetry)
-    second = render_telemetry(run_cell(_small_cell()).telemetry)
+    first = canonjson.render(run_cell(_small_cell()).telemetry)
+    second = canonjson.render(run_cell(_small_cell()).telemetry)
     assert first == second
 
 
@@ -211,11 +210,12 @@ _DIGEST_SNIPPET = """
 import hashlib
 from repro.exp.spec import Cell
 from repro.exp.runner import run_cell
-from repro.obs.telemetry import TelemetryConfig, render_telemetry
+from repro.common import canonjson
+from repro.obs.telemetry import TelemetryConfig
 cell = Cell(protocol="TokenCMP-dst1", workload="oltp",
             workload_kwargs={"refs_per_proc": 20}, seed=1,
             telemetry=TelemetryConfig(sample_every_events=2000))
-blob = render_telemetry(run_cell(cell).telemetry)
+blob = canonjson.render(run_cell(cell).telemetry)
 print(hashlib.sha256(blob.encode()).hexdigest())
 """
 
@@ -401,7 +401,7 @@ def test_diff_identical_docs():
     assert report["changed"] == 0
     assert report["violations"] == []
     # Canonical JSON renders deterministically.
-    assert render_diff_json(report) == render_diff_json(
+    assert canonjson.render(report) == canonjson.render(
         diff_report(doc, doc, [("counters.*", 0.0)])
     )
 
@@ -442,6 +442,23 @@ def test_parse_gate():
     for bad in ("nonsense", ":5", "glob:abc", "glob:-1"):
         with pytest.raises(ValueError):
             parse_gate(bad)
+
+
+def test_cli_diff_exit_codes_and_unreadable_input(tmp_path, capsys):
+    from repro.__main__ import main as cli_main
+
+    good = tmp_path / "good.json"
+    canonjson.write(str(good), {"counters": {"x": 1}})
+    assert cli_main(["diff", str(good), str(good), "--gate", "counters.*:0"]) == 0
+    capsys.readouterr()
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("")
+    assert cli_main(["diff", str(good), str(garbage)]) == 2
+    assert capsys.readouterr().err == (
+        f"diff: {garbage}: Expecting value: line 1 column 1 (char 0)\n"
+    )
+    assert cli_main(["diff", str(tmp_path / "missing.json"), str(good)]) == 2
+    assert "missing.json" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
