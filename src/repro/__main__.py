@@ -39,7 +39,7 @@ import argparse
 import sys
 
 from repro.common import canonjson
-from repro.common.params import SystemParams
+from repro.common.params import SystemParams, auto_tokens
 from repro.exp.runner import Runner, run_cell
 from repro.exp.spec import Cell
 from repro.interconnect.topology import GENERATORS, Topology
@@ -48,24 +48,11 @@ from repro.system.config import PROTOCOLS
 from repro.workloads import REGISTRY, workload_entry
 
 
-def _auto_tokens(chips: int, procs: int) -> int:
-    """Smallest power-of-two token count valid for this machine size.
-
-    Keeps the Table-3 default (64) for the paper configurations and
-    scales it for big-topology sweeps, where the cache count exceeds it.
-    """
-    caches = chips * (2 * procs + 1)
-    tokens = 64
-    while tokens <= caches:
-        tokens *= 2
-    return tokens
-
-
 def _params_from_args(args) -> SystemParams:
     return SystemParams(
         num_chips=args.chips,
         procs_per_chip=args.procs,
-        tokens_per_block=_auto_tokens(args.chips, args.procs),
+        tokens_per_block=auto_tokens(args.chips, args.procs),
         topology=Topology.named(getattr(args, "topology", "ptp")),
     )
 
@@ -303,7 +290,7 @@ def cmd_topo(args) -> int:
         params = SystemParams(
             num_chips=args.chips,
             procs_per_chip=args.procs,
-            tokens_per_block=_auto_tokens(args.chips, args.procs),
+            tokens_per_block=auto_tokens(args.chips, args.procs),
             topology=topo,
         )
         # describe() validates: connectivity of every endpoint pair plus

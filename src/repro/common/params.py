@@ -14,6 +14,19 @@ from repro.common.types import NodeId, NodeKind, ns
 from repro.interconnect.topology import Topology
 
 
+def auto_tokens(chips: int, procs: int) -> int:
+    """Smallest power-of-two token count valid for this machine size.
+
+    Keeps the Table-3 default (64) for the paper configurations and
+    scales it for big-topology sweeps, where the cache count exceeds it.
+    """
+    caches = chips * (2 * procs + 1)
+    tokens = 64
+    while tokens <= caches:
+        tokens *= 2
+    return tokens
+
+
 @dataclasses.dataclass(frozen=True)
 class SystemParams:
     """Machine-level configuration shared by all protocols.

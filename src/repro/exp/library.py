@@ -17,7 +17,7 @@ import dataclasses
 from typing import Callable, Dict, List
 
 from repro.analysis.report import ResultTable
-from repro.common.params import SystemParams
+from repro.common.params import SystemParams, auto_tokens
 from repro.exp.runner import ExperimentResult
 from repro.exp.spec import Cell, ExperimentSpec
 from repro.interconnect.topology import Topology
@@ -377,13 +377,9 @@ SMOKE_REFS = 30
 
 def mesh_params(chips: int, procs: int) -> SystemParams:
     """An ``chips``-CMP mesh machine with a valid power-of-two token count."""
-    caches = chips * (2 * procs + 1)
-    tokens = 64
-    while tokens <= caches:
-        tokens *= 2
     return SystemParams(
         num_chips=chips, procs_per_chip=procs,
-        tokens_per_block=tokens, topology=Topology.mesh(),
+        tokens_per_block=auto_tokens(chips, procs), topology=Topology.mesh(),
     )
 
 

@@ -1,8 +1,8 @@
-"""Top-level driver: load the tree, run the passes, report.
+"""Top-level driver: run the passes over a list of parsed files.
 
-Used by ``python -m repro lint`` and directly by the test suite (which
-feeds fixture files through ``extra_files`` to seed violations without
-touching the real tree).
+Used by ``python -m repro lint`` and directly by the test suite, which
+appends a parsed fixture file to one shared loaded tree to seed
+violations without touching the real tree.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ def default_root() -> Path:
 
 
 def run_passes(
-    root: Optional[Path] = None,
-    extra_files: Optional[List[Path]] = None,
-    passes: Optional[Sequence[Pass]] = None,
     files: Optional[List[SourceFile]] = None,
+    passes: Optional[Sequence[Pass]] = None,
 ) -> Tuple[List[Finding], List[str]]:
-    """Run ``passes`` (default: the full registry) over ``root``.
+    """Run ``passes`` (default: the full registry) over ``files``.
+
+    ``files`` defaults to ``load_tree(default_root())``.  Passes never
+    write to the parsed trees, so one list may feed any number of runs.
 
     Returns ``(findings, pass_ids)`` with findings globally sorted.
 
@@ -39,7 +40,7 @@ def run_passes(
     suppression unused just because its detector was deselected.
     """
     if files is None:
-        files = load_tree(root or default_root(), extra_files=extra_files)
+        files = load_tree(default_root())
     selected = list(passes) if passes is not None else list(PASSES)
     used: Set[Tuple[str, int]] = set()
     findings: List[Finding] = []

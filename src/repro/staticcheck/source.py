@@ -85,26 +85,19 @@ def parse_source(path: str, text: str, module: str = "") -> SourceFile:
     )
 
 
-def load_tree(
-    root: Path, rel_to: Optional[Path] = None, extra_files: Optional[List[Path]] = None
-) -> List[SourceFile]:
+def load_tree(root: Path) -> List[SourceFile]:
     """Load every ``.py`` file under ``root`` (a package directory).
 
-    ``root`` must point at the ``repro`` package directory; module names
-    are derived from the path relative to its parent.  ``extra_files``
-    (e.g. a test fixture) are appended and get module name ``<fixture>``.
+    ``root`` must point at the ``repro`` package directory; display paths
+    and module names are derived from the path relative to its parent.
     Files are returned sorted by path so pass output is deterministic.
     """
     root = Path(root).resolve()
-    rel_root = (rel_to or root.parent).resolve()
     files: List[SourceFile] = []
     for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(rel_root)
-        module = ".".join(path.relative_to(root.parent).with_suffix("").parts)
+        rel = path.relative_to(root.parent)
+        module = ".".join(rel.with_suffix("").parts)
         if module.endswith(".__init__"):
             module = module[: -len(".__init__")]
         files.append(parse_source(rel.as_posix(), path.read_text(), module))
-    for path in extra_files or []:
-        path = Path(path)
-        files.append(parse_source(path.as_posix(), path.read_text(), "<fixture>"))
     return files

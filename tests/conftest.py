@@ -24,13 +24,31 @@ COHERENT_PROTOCOLS = [p for p in ALL_PROTOCOLS if p != "PerfectL2"]
 def repo_tree():
     """The ``repro`` package loaded once for the in-process staticcheck tests.
 
-    Passes never mutate the shared ASTs, so every test that reads the
-    real tree without fixture files can pass this through ``files=``.
+    Passes never mutate the shared ASTs, so every in-process staticcheck
+    test passes this list (or :func:`tree_with`'s extension of it)
+    through ``files=``.
     """
     from repro.staticcheck.runner import default_root
     from repro.staticcheck.source import load_tree
 
     return load_tree(default_root())
+
+
+@pytest.fixture
+def tree_with(repo_tree):
+    """``tree_with(path)``: the shared tree plus one parsed fixture file.
+
+    The fixture gets module name ``<fixture>`` and its own path as the
+    display path, so a test picks its findings out by ``path.as_posix()``.
+    The result is a new list; ``repo_tree`` itself is never extended.
+    """
+    from repro.staticcheck.source import parse_source
+
+    def build(path):
+        fixture = parse_source(path.as_posix(), path.read_text(), "<fixture>")
+        return repo_tree + [fixture]
+
+    return build
 
 
 @pytest.fixture

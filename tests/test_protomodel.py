@@ -31,8 +31,7 @@ from repro.staticcheck.protomodel import (
     extract_controllers,
     extract_models,
 )
-from repro.staticcheck.runner import default_root, run_passes
-from repro.staticcheck.source import load_tree
+from repro.staticcheck.runner import run_passes
 from repro.staticcheck.suppressions import UnusedSuppressionPass
 from repro.staticcheck.determinism import DeterminismPass
 
@@ -159,40 +158,54 @@ def _fixture(tmp_path, text, name="fixture_mod.py"):
     return path
 
 
-def test_fixture_model_missing_transition(tmp_path):
+def test_fixture_model_missing_transition(tmp_path, tree_with):
     path = _fixture(tmp_path, MODEL_DRIFT_FIXTURE)
-    findings, _ = run_passes(extra_files=[path], passes=[ProtocolModelPass()])
+    findings, _ = run_passes(files=tree_with(path), passes=[ProtocolModelPass()])
     assert [f.rule for f in findings] == ["model-missing-transition"]
     f = findings[0]
     assert f.path == path.as_posix()
     assert "'stale_mem'" in f.message and "TokenCMP-recreate" in f.message
 
 
-def test_fixture_controller_missing_transition(tmp_path):
+def test_fixture_controller_missing_transition(tmp_path, tree_with):
     path = _fixture(tmp_path, CONTROLLER_DRIFT_FIXTURE)
-    findings, _ = run_passes(extra_files=[path], passes=[ProtocolModelPass()])
+    findings, _ = run_passes(files=tree_with(path), passes=[ProtocolModelPass()])
     assert [f.rule for f in findings] == ["controller-missing-transition"]
     f = findings[0]
     assert f.path == path.as_posix()
     assert "TOK_RECREATE_REQ" in f.message and "recreate" in f.message
 
 
-def test_protocol_model_stable_over_one_loaded_tree(tmp_path):
+def test_protocol_model_stable_over_one_loaded_tree(tmp_path, tree_with):
     path = _fixture(tmp_path, CONTROLLER_DRIFT_FIXTURE)
-    files = load_tree(default_root(), extra_files=[path])
+    files = tree_with(path)
     first, _ = run_passes(files=files, passes=[ProtocolModelPass()])
     second, _ = run_passes(files=files, passes=[ProtocolModelPass()])
     assert [f.rule for f in first] == ["controller-missing-transition"]
     assert second == first
 
 
-def test_build_model_stable_over_one_loaded_tree(tmp_path):
+def test_build_model_stable_over_one_loaded_tree(tmp_path, tree_with):
     path = _fixture(tmp_path, CONTROLLER_DRIFT_FIXTURE)
-    files = load_tree(default_root(), extra_files=[path])
+    files = tree_with(path)
     first = canonjson.render(build_model(files))
     run_passes(files=files)
     assert canonjson.render(build_model(files)) == first
     assert first == (REPO_ROOT / "protomodel-baseline.json").read_text()
+
+
+def test_fixture_run_leaves_shared_tree_clean(tmp_path, repo_tree, tree_with):
+    # A fixture that redefines a real controller overrides it in the
+    # ClassIndex of its own run only: the shared tree must come out of
+    # that run exactly as clean as it went in.
+    path = _fixture(tmp_path, CONTROLLER_DRIFT_FIXTURE)
+    poisoned, _ = run_passes(files=tree_with(path))
+    assert "controller-missing-transition" in {f.rule for f in poisoned}
+    findings, _ = run_passes(files=repo_tree)
+    assert findings == []
+    assert canonjson.render(build_model(repo_tree)) == (
+        REPO_ROOT / "protomodel-baseline.json"
+    ).read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +382,14 @@ def test_cli_explain_unknown_rule_exits_2():
 # ---------------------------------------------------------------------------
 # unused-suppression.
 # ---------------------------------------------------------------------------
-def test_stray_suppression_is_flagged(tmp_path):
+def test_stray_suppression_is_flagged(tmp_path, tree_with):
     path = _fixture(tmp_path, """\
         def quiet():
             value = 1  # staticcheck: ignore[det-wallclock]
             return value
         """)
     findings, _ = run_passes(
-        extra_files=[path],
+        files=tree_with(path),
         passes=[DeterminismPass(), UnusedSuppressionPass()],
     )
     mine = [f for f in findings if f.path == path.as_posix()]
@@ -386,7 +399,7 @@ def test_stray_suppression_is_flagged(tmp_path):
     assert mine[0].severity == "warning"
 
 
-def test_consumed_suppression_is_not_flagged(tmp_path):
+def test_consumed_suppression_is_not_flagged(tmp_path, tree_with):
     path = _fixture(tmp_path, """\
         import time
 
@@ -395,13 +408,13 @@ def test_consumed_suppression_is_not_flagged(tmp_path):
             return time.time()  # staticcheck: ignore[det-wallclock]
         """)
     findings, _ = run_passes(
-        extra_files=[path],
+        files=tree_with(path),
         passes=[DeterminismPass(), UnusedSuppressionPass()],
     )
     assert [f for f in findings if f.path == path.as_posix()] == []
 
 
-def test_suppression_judged_against_full_registry(tmp_path):
+def test_suppression_judged_against_full_registry(tmp_path, tree_with):
     # --pass suppressions alone must still credit detector passes that
     # were not selected: a suppression consumed by determinism is not
     # "unused" just because only the suppressions pass ran.
@@ -413,7 +426,7 @@ def test_suppression_judged_against_full_registry(tmp_path):
             return time.time()  # staticcheck: ignore[det-wallclock]
         """)
     findings, pass_ids = run_passes(
-        extra_files=[path], passes=[UnusedSuppressionPass()],
+        files=tree_with(path), passes=[UnusedSuppressionPass()],
     )
     assert pass_ids == ["suppressions"]
     assert [f for f in findings if f.path == path.as_posix()] == []

@@ -2,9 +2,10 @@
 
 The strategy throughout: the real tree must be clean, and every rule must
 fire on a *seeded* violation placed in a fixture file (fed through
-``load_tree(extra_files=...)``), so the suite proves both directions —
-no false positives on the code we ship, no false negatives on the bug
-classes the passes exist to catch.
+``run_passes(files=tree_with(path))``: the shared loaded tree plus that
+parsed file), so the suite proves both directions — no false positives
+on the code we ship, no false negatives on the bug classes the passes
+exist to catch.
 """
 
 import ast
@@ -20,7 +21,6 @@ from repro.staticcheck import (
     PASSES,
     diff_baseline,
     load_baseline,
-    load_tree,
     render_json,
     render_text,
     run_passes,
@@ -31,7 +31,6 @@ from repro.staticcheck.dispatch import DispatchPass
 from repro.staticcheck.findings import Finding
 from repro.staticcheck.pooling import PoolDisciplinePass
 from repro.staticcheck.purity import PurityPass
-from repro.staticcheck.runner import default_root
 from repro.staticcheck.source import parse_source
 from repro.staticcheck.tokens import TokenDisciplinePass
 
@@ -44,9 +43,9 @@ def _fixture(tmp_path: Path, text: str, name: str = "fixture_mod.py") -> Path:
     return path
 
 
-def _run_fixture(tmp_path: Path, text: str, passes=None):
+def _run_fixture(tree_with, tmp_path: Path, text: str, passes=None):
     path = _fixture(tmp_path, text)
-    findings, _ = run_passes(extra_files=[path], passes=passes)
+    findings, _ = run_passes(files=tree_with(path), passes=passes)
     return [f for f in findings if f.path == path.as_posix()]
 
 
@@ -97,10 +96,10 @@ class TokenMemController:
 DROPPED_ARM_LADDER_LINE = 14
 
 
-def test_dispatch_reports_removed_arm_at_ladder_line(tmp_path):
+def test_dispatch_reports_removed_arm_at_ladder_line(tmp_path, tree_with):
     path = tmp_path / "broken_ctrl.py"
     path.write_text(DROPPED_ARM_FIXTURE)
-    findings, _ = run_passes(extra_files=[path], passes=[DispatchPass()])
+    findings, _ = run_passes(files=tree_with(path), passes=[DispatchPass()])
     ours = [f for f in findings if f.path == path.as_posix()]
     assert len(ours) == 1
     f = ours[0]
@@ -112,12 +111,12 @@ def test_dispatch_reports_removed_arm_at_ladder_line(tmp_path):
     assert "repro/core/" in f.message
 
 
-def test_dispatch_findings_stable_over_one_loaded_tree(tmp_path):
+def test_dispatch_findings_stable_over_one_loaded_tree(tmp_path, tree_with):
     # The passes share one set of ASTs: a second run over the same
     # loaded tree must see exactly what the first one saw.
     path = tmp_path / "broken_ctrl.py"
     path.write_text(DROPPED_ARM_FIXTURE)
-    files = load_tree(default_root(), extra_files=[path])
+    files = tree_with(path)
     first, _ = run_passes(files=files, passes=[DispatchPass()])
     second, _ = run_passes(files=files, passes=[DispatchPass()])
     assert [f.rule for f in first if f.path == path.as_posix()] == [
@@ -134,7 +133,7 @@ def test_passes_leave_shared_asts_untouched(repo_tree):
             assert not extra, (src.path, getattr(node, "lineno", 0), extra)
 
 
-def test_dispatch_clean_when_all_arms_present(tmp_path):
+def test_dispatch_clean_when_all_arms_present(tmp_path, tree_with):
     text = DROPPED_ARM_FIXTURE.replace(
         "        else:\n",
         "        elif t is MsgType.PERSIST_DEACTIVATE:\n"
@@ -143,13 +142,13 @@ def test_dispatch_clean_when_all_arms_present(tmp_path):
     )
     path = tmp_path / "ok_ctrl.py"
     path.write_text(text)
-    findings, _ = run_passes(extra_files=[path], passes=[DispatchPass()])
+    findings, _ = run_passes(files=tree_with(path), passes=[DispatchPass()])
     assert [f for f in findings if f.path == path.as_posix()] == []
 
 
-def test_dispatch_unknown_mtype(tmp_path):
+def test_dispatch_unknown_mtype(tmp_path, tree_with):
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         from repro.interconnect.message import MsgType
 
@@ -162,9 +161,9 @@ def test_dispatch_unknown_mtype(tmp_path):
     assert "TOK_BOGUS" in ours[0].message
 
 
-def test_dispatch_no_default_warning(tmp_path):
+def test_dispatch_no_default_warning(tmp_path, tree_with):
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         from repro.interconnect.message import MsgType
 
@@ -187,9 +186,9 @@ def test_dispatch_no_default_warning(tmp_path):
 # ---------------------------------------------------------------------------
 # Determinism lint.
 # ---------------------------------------------------------------------------
-def test_determinism_catches_seeded_violations(tmp_path):
+def test_determinism_catches_seeded_violations(tmp_path, tree_with):
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         import random
         import time
@@ -213,12 +212,12 @@ def test_determinism_catches_seeded_violations(tmp_path):
     ]
 
 
-def test_determinism_reintroduced_wallclock_fails_lint(tmp_path):
+def test_determinism_reintroduced_wallclock_fails_lint(tmp_path, tree_with):
     # The ISSUE's canonical seeded violation: time.time() back in the
     # simulation core.  A copy of the package with the regression must
     # make ``python -m repro lint`` exit non-zero (see the CLI test).
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         import time
 
@@ -230,9 +229,9 @@ def test_determinism_reintroduced_wallclock_fails_lint(tmp_path):
     assert any(f.rule == "det-wallclock" for f in ours)
 
 
-def test_determinism_allows_sorted_iteration(tmp_path):
+def test_determinism_allows_sorted_iteration(tmp_path, tree_with):
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         def fan_out(sharers):
             for node in sorted(sharers):
@@ -248,9 +247,9 @@ def test_determinism_allows_sorted_iteration(tmp_path):
 # ---------------------------------------------------------------------------
 # Token discipline.
 # ---------------------------------------------------------------------------
-def test_token_mutation_outside_ledger_flagged(tmp_path):
+def test_token_mutation_outside_ledger_flagged(tmp_path, tree_with):
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         class RogueController:
             def _on_tokens(self, msg, entry):
@@ -262,9 +261,9 @@ def test_token_mutation_outside_ledger_flagged(tmp_path):
     assert "entry.tokens" in ours[0].message
 
 
-def test_token_mutation_in_ledger_allowed(tmp_path):
+def test_token_mutation_in_ledger_allowed(tmp_path, tree_with):
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         class TokenEntry:
             def absorb(self, n):
@@ -278,9 +277,9 @@ def test_token_mutation_in_ledger_allowed(tmp_path):
 # ---------------------------------------------------------------------------
 # Pool discipline.
 # ---------------------------------------------------------------------------
-def test_pool_store_on_instance_flagged(tmp_path):
+def test_pool_store_on_instance_flagged(tmp_path, tree_with):
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         class RogueController:
             def _process(self, msg):
@@ -292,9 +291,9 @@ def test_pool_store_on_instance_flagged(tmp_path):
     assert "stored on the instance" in ours[0].message
 
 
-def test_pool_container_escape_flagged(tmp_path):
+def test_pool_container_escape_flagged(tmp_path, tree_with):
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         class RogueController:
             def handle(self, msg):
@@ -306,9 +305,9 @@ def test_pool_container_escape_flagged(tmp_path):
     assert "container" in ours[0].message
 
 
-def test_pool_closure_capture_flagged(tmp_path):
+def test_pool_closure_capture_flagged(tmp_path, tree_with):
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         class RogueController:
             def _process(self, msg):
@@ -322,11 +321,11 @@ def test_pool_closure_capture_flagged(tmp_path):
     assert "closure" in ours[0].message
 
 
-def test_pool_closure_with_own_msg_param_allowed(tmp_path):
+def test_pool_closure_with_own_msg_param_allowed(tmp_path, tree_with):
     # A nested function that takes its *own* msg parameter shadows the
     # handled one — no capture, nothing to flag.
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         class FineController:
             def _process(self, msg):
@@ -339,9 +338,9 @@ def test_pool_closure_with_own_msg_param_allowed(tmp_path):
     assert ours == []
 
 
-def test_pool_use_after_release_flagged(tmp_path):
+def test_pool_use_after_release_flagged(tmp_path, tree_with):
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         class RogueController:
             def _process(self, msg):
@@ -354,10 +353,10 @@ def test_pool_use_after_release_flagged(tmp_path):
     assert "after release" in ours[0].message
 
 
-def test_pool_scalar_copy_and_lambda_over_scalars_allowed(tmp_path):
+def test_pool_scalar_copy_and_lambda_over_scalars_allowed(tmp_path, tree_with):
     # The sanctioned shape: copy the scalars out, defer over those.
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         class FineController:
             def _process(self, msg):
@@ -370,10 +369,10 @@ def test_pool_scalar_copy_and_lambda_over_scalars_allowed(tmp_path):
     assert ours == []
 
 
-def test_pool_approved_retention_site_allowed(tmp_path):
+def test_pool_approved_retention_site_allowed(tmp_path, tree_with):
     # Arbiter._process queues the (unpooled) persistent request by design.
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         class Arbiter:
             def _process(self, msg):
@@ -384,9 +383,9 @@ def test_pool_approved_retention_site_allowed(tmp_path):
     assert ours == []
 
 
-def test_pool_suppression_comment(tmp_path):
+def test_pool_suppression_comment(tmp_path, tree_with):
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         class RogueController:
             def _process(self, msg):
@@ -400,9 +399,9 @@ def test_pool_suppression_comment(tmp_path):
 # ---------------------------------------------------------------------------
 # Purity.
 # ---------------------------------------------------------------------------
-def test_purity_flags_forbidden_imports(tmp_path):
+def test_purity_flags_forbidden_imports(tmp_path, tree_with):
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         import os
         from time import time
@@ -412,9 +411,9 @@ def test_purity_flags_forbidden_imports(tmp_path):
     assert [f.rule for f in ours] == ["purity-import", "purity-import"]
 
 
-def test_purity_suppression_comment(tmp_path):
+def test_purity_suppression_comment(tmp_path, tree_with):
     ours = _run_fixture(
-        tmp_path,
+        tree_with, tmp_path,
         """
         from time import perf_counter_ns  # staticcheck: ignore[purity-import]
         """,
