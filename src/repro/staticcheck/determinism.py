@@ -26,7 +26,8 @@ property:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from collections import deque
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.staticcheck.base import Pass, attr_chain, call_name, module_in
 from repro.staticcheck.findings import Finding
@@ -81,50 +82,77 @@ _GLOBAL_RANDOM_FNS = {
 _SET_METHODS = {"union", "intersection", "difference", "symmetric_difference"}
 
 
-class _Env:
-    """Per-function name bindings, for set-typedness resolution."""
+class _FileNodes:
+    """The nodes every ``det-*`` detector reads, from one walk of a file.
 
-    def __init__(self, fn: ast.AST):
-        self.assign: Dict[str, ast.AST] = {}
-        self.loops: Dict[str, ast.AST] = {}
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                tgt = node.targets[0]
-                if isinstance(tgt, ast.Name):
-                    self.assign[tgt.id] = node.value
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                tgt = node.target
-                if isinstance(tgt, ast.Name):
-                    self.loops[tgt.id] = node.iter
+    The walk is breadth-first, like :func:`ast.walk`, and carries the
+    chain of functions enclosing each node.  A function's local bindings
+    therefore cover its whole body, nested functions included, with the
+    last assignment in walk order winning.
+    """
 
+    def __init__(self, tree: ast.AST):
+        self.calls: List[ast.Call] = []
+        self.time_imports: List[ast.ImportFrom] = []
+        #: ``self.X`` attribute names assigned a set anywhere in the file.
+        self.set_attrs: Set[str] = set()
+        #: ids of comprehensions passed straight to an order-insensitive call.
+        self.blessed: Set[int] = set()
+        #: (loop or comprehension, the functions enclosing it)
+        self.loops: List[Tuple[ast.AST, Tuple[ast.AST, ...]]] = []
+        #: id(function) -> local name -> assigned value
+        self.assigns: Dict[int, Dict[str, ast.AST]] = {}
+        queue = deque([(tree, ())])
+        while queue:
+            node, fns = queue.popleft()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self.assigns[id(node)] = {}
+                inner = fns + (node,)
+            else:
+                self._visit(node, fns)
+                inner = fns
+            for child in ast.iter_child_nodes(node):
+                queue.append((child, inner))
 
-def _set_attrs_of_file(src: SourceFile) -> Set[str]:
-    """``self.X`` attribute names assigned a set anywhere in the file."""
-    attrs: Set[str] = set()
-    for node in ast.walk(src.tree):
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+    def _visit(self, node: ast.AST, fns: Tuple[ast.AST, ...]) -> None:
+        if isinstance(node, ast.Call):
+            self.calls.append(node)
+            if call_name(node) in _ORDER_INSENSITIVE:
+                for arg in node.args:
+                    if isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+                        self.blessed.add(id(arg))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            value = node.value
-            if value is None:
-                continue
-            is_set = (
-                isinstance(value, (ast.Set, ast.SetComp))
-                or (isinstance(value, ast.Call) and call_name(value) in ("set", "frozenset"))
-            )
-            if not is_set:
-                continue
-            for tgt in targets:
-                if (
-                    isinstance(tgt, ast.Attribute)
-                    and isinstance(tgt.value, ast.Name)
-                    and tgt.value.id == "self"
-                ):
-                    attrs.add(tgt.attr)
-    return attrs
+            if isinstance(node, ast.Assign) and len(targets) == 1:
+                tgt = targets[0]
+                if isinstance(tgt, ast.Name):
+                    for fn in fns:
+                        self.assigns[id(fn)][tgt.id] = node.value
+            if _is_set_value(node.value):
+                for tgt in targets:
+                    if (
+                        isinstance(tgt, ast.Attribute)
+                        and isinstance(tgt.value, ast.Name)
+                        and tgt.value.id == "self"
+                    ):
+                        self.set_attrs.add(tgt.attr)
+        elif isinstance(node, (ast.For, ast.GeneratorExp, ast.ListComp)):
+            # Building a set or dict is not iteration order, so set and
+            # dict comprehensions are never collected.
+            if fns:
+                self.loops.append((node, fns))
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            self.time_imports.append(node)
+
+
+def _is_set_value(value: Optional[ast.AST]) -> bool:
+    return isinstance(value, (ast.Set, ast.SetComp)) or (
+        isinstance(value, ast.Call) and call_name(value) in ("set", "frozenset")
+    )
 
 
 def _is_setlike(
-    expr: ast.AST, env: _Env, set_attrs: Set[str], depth: int = 6
+    expr: ast.AST, assign: Dict[str, ast.AST], set_attrs: Set[str], depth: int = 6
 ) -> bool:
     if depth <= 0 or expr is None:
         return False
@@ -137,15 +165,15 @@ def _is_setlike(
         func = expr.func
         if isinstance(func, ast.Attribute):
             if name == "copy":
-                return _is_setlike(func.value, env, set_attrs, depth - 1)
+                return _is_setlike(func.value, assign, set_attrs, depth - 1)
             if name in _SET_METHODS:
-                return _is_setlike(func.value, env, set_attrs, depth - 1)
+                return _is_setlike(func.value, assign, set_attrs, depth - 1)
             if name == "get" and len(expr.args) >= 2:
-                return _is_setlike(expr.args[1], env, set_attrs, depth - 1)
+                return _is_setlike(expr.args[1], assign, set_attrs, depth - 1)
         return False
     if isinstance(expr, ast.Name):
-        if expr.id in env.assign:
-            return _is_setlike(env.assign[expr.id], env, set_attrs, depth - 1)
+        if expr.id in assign:
+            return _is_setlike(assign[expr.id], assign, set_attrs, depth - 1)
         return False
     if isinstance(expr, ast.Attribute):
         return (
@@ -156,12 +184,12 @@ def _is_setlike(
     if isinstance(expr, ast.BinOp) and isinstance(
         expr.op, (ast.Sub, ast.BitOr, ast.BitAnd, ast.BitXor)
     ):
-        return _is_setlike(expr.left, env, set_attrs, depth - 1) or _is_setlike(
-            expr.right, env, set_attrs, depth - 1
+        return _is_setlike(expr.left, assign, set_attrs, depth - 1) or _is_setlike(
+            expr.right, assign, set_attrs, depth - 1
         )
     if isinstance(expr, ast.IfExp):
-        return _is_setlike(expr.body, env, set_attrs, depth - 1) or _is_setlike(
-            expr.orelse, env, set_attrs, depth - 1
+        return _is_setlike(expr.body, assign, set_attrs, depth - 1) or _is_setlike(
+            expr.orelse, assign, set_attrs, depth - 1
         )
     return False
 
@@ -226,44 +254,37 @@ class DeterminismPass(Pass):
     def check(self, files: List[SourceFile]) -> List[Finding]:
         findings: List[Finding] = []
         for src in files:
-            if src.module == "<fixture>" or module_in(src, SET_ITER_SCOPE):
-                findings.extend(self._set_iteration(src))
-            if src.module == "<fixture>" or module_in(src, WALLCLOCK_SCOPE):
-                findings.extend(self._wallclock(src))
-            if src.module.startswith("repro") or src.module == "<fixture>":
-                findings.extend(self._unseeded_random(src))
-            if src.module == "<fixture>" or module_in(src, FLOAT_TIME_SCOPE):
-                findings.extend(self._float_time(src))
+            fixture = src.module == "<fixture>"
+            if not (fixture or src.module.startswith("repro")):
+                continue
+            nodes = _FileNodes(src.tree)
+            if fixture or module_in(src, SET_ITER_SCOPE):
+                findings.extend(self._set_iteration(src, nodes))
+            if fixture or module_in(src, WALLCLOCK_SCOPE):
+                findings.extend(self._wallclock(src, nodes))
+            findings.extend(self._unseeded_random(src, nodes))
+            if fixture or module_in(src, FLOAT_TIME_SCOPE):
+                findings.extend(self._float_time(src, nodes))
         return findings
 
     # -- det-set-iter -----------------------------------------------------
-    def _set_iteration(self, src: SourceFile) -> List[Finding]:
+    def _set_iteration(self, src: SourceFile, nodes: _FileNodes) -> List[Finding]:
         out: List[Finding] = []
-        set_attrs = _set_attrs_of_file(src)
-        # Comprehensions wrapped directly in an order-insensitive consumer
-        # are fine; collect them so the walk below can skip them.
-        blessed: Set[int] = set()
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.Call) and call_name(node) in _ORDER_INSENSITIVE:
-                for arg in node.args:
-                    if isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
-                        blessed.add(id(arg))
-        for fn in ast.walk(src.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for node, fns in nodes.loops:
+            # Comprehensions wrapped directly in an order-insensitive
+            # consumer are fine.
+            if id(node) in nodes.blessed:
                 continue
-            env = _Env(fn)
-            for node in ast.walk(fn):
-                iters = []
-                if isinstance(node, ast.For):
-                    iters.append(node.iter)
-                elif isinstance(
-                    node, (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)
-                ):
-                    if id(node) in blessed or isinstance(node, (ast.SetComp, ast.DictComp)):
-                        continue  # building a set/dict is not iteration order
-                    iters.extend(gen.iter for gen in node.generators)
+            if isinstance(node, ast.For):
+                iters = [node.iter]
+            else:
+                iters = [gen.iter for gen in node.generators]
+            # Each enclosing function resolves names with its own
+            # bindings, and each that finds a set reports the loop.
+            for fn in fns:
+                assign = nodes.assigns[id(fn)]
                 for it in iters:
-                    if _is_setlike(it, env, set_attrs):
+                    if _is_setlike(it, assign, nodes.set_attrs):
                         out.append(
                             self.finding(
                                 src, node, "det-set-iter",
@@ -275,38 +296,35 @@ class DeterminismPass(Pass):
         return out
 
     # -- det-wallclock ----------------------------------------------------
-    def _wallclock(self, src: SourceFile) -> List[Finding]:
+    def _wallclock(self, src: SourceFile, nodes: _FileNodes) -> List[Finding]:
         out: List[Finding] = []
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.Call):
-                chain = attr_chain(node.func)
-                if chain in _WALLCLOCK_CHAINS:
-                    out.append(
-                        self.finding(
-                            src, node, "det-wallclock",
-                            f"wall-clock read ({chain}) makes output "
-                            f"run-dependent — use time.perf_counter() for "
-                            f"measurement and exclude it from comparable "
-                            f"projections",
-                        )
+        for node in nodes.calls:
+            chain = attr_chain(node.func)
+            if chain in _WALLCLOCK_CHAINS:
+                out.append(
+                    self.finding(
+                        src, node, "det-wallclock",
+                        f"wall-clock read ({chain}) makes output "
+                        f"run-dependent — use time.perf_counter() for "
+                        f"measurement and exclude it from comparable "
+                        f"projections",
                     )
-            elif isinstance(node, ast.ImportFrom) and node.module == "time":
-                if any(alias.name == "time" for alias in node.names):
-                    out.append(
-                        self.finding(
-                            src, node, "det-wallclock",
-                            "importing time.time into deterministic code — "
-                            "use time.perf_counter() instead",
-                        )
+                )
+        for node in nodes.time_imports:
+            if any(alias.name == "time" for alias in node.names):
+                out.append(
+                    self.finding(
+                        src, node, "det-wallclock",
+                        "importing time.time into deterministic code — "
+                        "use time.perf_counter() instead",
                     )
+                )
         return out
 
     # -- det-unseeded-random ----------------------------------------------
-    def _unseeded_random(self, src: SourceFile) -> List[Finding]:
+    def _unseeded_random(self, src: SourceFile, nodes: _FileNodes) -> List[Finding]:
         out: List[Finding] = []
-        for node in ast.walk(src.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in nodes.calls:
             chain = attr_chain(node.func)
             if (
                 chain
@@ -335,12 +353,11 @@ class DeterminismPass(Pass):
         return out
 
     # -- det-float-time ---------------------------------------------------
-    def _float_time(self, src: SourceFile) -> List[Finding]:
+    def _float_time(self, src: SourceFile, nodes: _FileNodes) -> List[Finding]:
         out: List[Finding] = []
-        for node in ast.walk(src.tree):
+        for node in nodes.calls:
             if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
+                isinstance(node.func, ast.Name)
                 and node.func.id in ("round", "float")
                 and node.args
             ):

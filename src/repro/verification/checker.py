@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections import deque
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from array import array
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.common.errors import VerificationError
 
@@ -60,6 +60,12 @@ class Model:
         The default is the identity — no reduction.  Soundness requires
         the model to actually be symmetric under the applied permutations
         (invariants and quiescence must be permutation-invariant).
+
+        The checker requires ``canonicalize`` to be pure and idempotent:
+        it interns raw successors and their representatives in one table
+        and calls this hook at most once per distinct raw state, so a
+        representative must map to itself
+        (``canonicalize(canonicalize(s)) == canonicalize(s)``).
         """
         return state
 
@@ -109,101 +115,126 @@ def check(
     Raises :class:`VerificationError` with a shortest-path counterexample
     trace for safety violations and deadlocks, and with a culprit state
     for liveness violations.
+
+    States are interned: ``ids`` maps every canonical state, and every
+    raw successor seen so far, to a dense integer id handed out in BFS
+    order.  ``canonicalize`` therefore runs once per distinct raw
+    successor, and everything else -- the frontier, the parent links,
+    quiescence and the liveness graph -- is kept per id.
     """
     start = time.perf_counter()
-    parents: Dict[State, Optional[Tuple[State, str]]] = {}
-    depth: Dict[State, int] = {}
-    successors: Dict[State, List[State]] = {}
-    frontier = deque()
+    transitions_of = model.transitions
+    canonicalize = model.canonicalize
+    check_invariants = model.check_invariants
+    is_quiescent = model.is_quiescent
+
+    ids: Dict[State, int] = {}
+    states: List[State] = []
+    parent = array("l")  # id of the state each id was discovered from
+    labels: List[Optional[str]] = []  # label of that discovering transition
+    quiescent = bytearray()
+    preds: Optional[List[List[int]]] = [] if check_liveness else None
     for s in model.initial_states():
-        s = model.canonicalize(s)
-        if s not in parents:
-            parents[s] = None
-            depth[s] = 0
-            frontier.append(s)
+        s = canonicalize(s)
+        if s not in ids:
+            ids[s] = len(states)
+            states.append(s)
+            parent.append(-1)
+            labels.append(None)
+            if preds is not None:
+                preds.append([])
 
     transitions = 0
-    diameter = 0
-    quiescent = 0
-    while frontier:
-        state = frontier.popleft()
+    depth = 0
+    level_end = len(states)  # ids below this are at depth ``depth``
+    sid = 0
+    while sid < len(states):
+        if sid == level_end:
+            depth += 1
+            level_end = len(states)
+        state = states[sid]
         try:
-            model.check_invariants(state)
+            check_invariants(state)
         except VerificationError as err:
             raise VerificationError(
-                f"{model.name}: invariant violated: {err}\n" + _trace(parents, state)
+                f"{model.name}: invariant violated: {err}\n"
+                + _trace(states, parent, labels, sid)
             ) from err
-        succs = model.transitions(state)
+        succs = transitions_of(state)
         transitions += len(succs)
-        if model.is_quiescent(state):
-            quiescent += 1
+        if is_quiescent(state):
+            quiescent.append(1)
         elif not succs:
             raise VerificationError(
                 f"{model.name}: deadlock (non-quiescent state with no transitions)\n"
-                + _trace(parents, state)
+                + _trace(states, parent, labels, sid)
             )
-        next_states = []
+        else:
+            quiescent.append(0)
         for label, nxt in succs:
-            nxt = model.canonicalize(nxt)
-            next_states.append(nxt)
-            if nxt not in parents:
-                parents[nxt] = (state, label)
-                depth[nxt] = depth[state] + 1
-                diameter = max(diameter, depth[nxt])
-                frontier.append(nxt)
-                if max_states is not None and len(parents) > max_states:
-                    raise VerificationError(
-                        f"{model.name}: state space exceeds {max_states} states"
-                    )
-        if check_liveness:
-            successors[state] = next_states
+            nid = ids.get(nxt)
+            if nid is None:
+                canon = canonicalize(nxt)
+                nid = ids.get(canon)
+                if nid is None:
+                    nid = len(states)
+                    if max_states is not None and nid >= max_states:
+                        raise VerificationError(
+                            f"{model.name}: state space exceeds {max_states} states"
+                        )
+                    ids[canon] = nid
+                    states.append(canon)
+                    parent.append(sid)
+                    labels.append(label)
+                    if preds is not None:
+                        preds.append([])
+                ids[nxt] = nid
+            if preds is not None:
+                preds[nid].append(sid)
+        sid += 1
 
-    if check_liveness:
-        _check_liveness(model, parents.keys(), successors)
+    if preds is not None:
+        _check_liveness(model, states, quiescent, preds)
 
     return CheckResult(
         model=model.name,
-        states=len(parents),
+        states=len(states),
         transitions=transitions,
-        diameter=diameter,
-        quiescent_states=quiescent,
+        diameter=depth,
+        quiescent_states=quiescent.count(1),
         elapsed_s=time.perf_counter() - start,
         liveness_checked=check_liveness,
     )
 
 
-def _check_liveness(model: Model, states, successors) -> None:
-    """Every reachable state must be able to reach a quiescent state."""
-    # Backward reachability from quiescent states over reversed edges.
-    reverse: Dict[State, List[State]] = {}
-    for src, nexts in successors.items():
-        for nxt in nexts:
-            reverse.setdefault(nxt, []).append(src)
-    good = deque(s for s in states if model.is_quiescent(s))
-    can_quiesce = set(good)
-    while good:
-        s = good.popleft()
-        for pred in reverse.get(s, ()):
-            if pred not in can_quiesce:
-                can_quiesce.add(pred)
-                good.append(pred)
-    stuck = [s for s in states if s not in can_quiesce]
+def _check_liveness(model: Model, states, quiescent, preds) -> None:
+    """Every reachable state must be able to reach a quiescent state.
+
+    Backward reachability from the quiescent ids over the predecessor
+    lists ``preds``; ``good[i]`` is set once id ``i`` can reach quiescence.
+    """
+    good = bytearray(quiescent)
+    stack = [i for i, q in enumerate(quiescent) if q]
+    while stack:
+        for pred in preds[stack.pop()]:
+            if not good[pred]:
+                good[pred] = 1
+                stack.append(pred)
+    stuck = good.count(0)
     if stuck:
         raise VerificationError(
-            f"{model.name}: liveness violated — {len(stuck)} states cannot reach "
-            f"quiescence, e.g. {stuck[0]!r}"
+            f"{model.name}: liveness violated — {stuck} states cannot reach "
+            f"quiescence, e.g. {states[good.index(0)]!r}"
         )
 
 
-def _trace(parents, state) -> str:
-    """Shortest counterexample trace from an initial state."""
+def _trace(states, parent, labels, sid) -> str:
+    """Shortest counterexample trace from an initial state to id ``sid``."""
     steps = []
-    cur = state
-    while parents.get(cur) is not None:
-        prev, label = parents[cur]
-        steps.append(f"  {label} -> {cur!r}")
-        cur = prev
-    steps.append(f"  initial: {cur!r}")
+    while parent[sid] >= 0:
+        steps.append(f"  {labels[sid]} -> {states[sid]!r}")
+        sid = parent[sid]
+    steps.append(f"  initial: {states[sid]!r}")
     return "counterexample (most recent last):\n" + "\n".join(reversed(steps))
 
 

@@ -23,7 +23,11 @@ import pytest
 from repro.common.errors import VerificationError
 from repro.verification.checker import Model, check
 from repro.verification.dir_model import DirFlatModel
-from repro.verification.token_model import TokenDstModel, TokenSafetyModel
+from repro.verification.token_model import (
+    TokenDstModel,
+    TokenRecreateModel,
+    TokenSafetyModel,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +150,53 @@ def test_toy_canonicalize_is_idempotent_and_orbit_stable():
     for perm in itertools.permutations(range(model.n)):
         permuted = tuple(state[p] for p in perm)
         assert model.canonicalize(permuted) == canon
+
+
+# ---------------------------------------------------------------------------
+# The canonicalize contract the checker relies on.
+# ---------------------------------------------------------------------------
+def _raw_successors(model):
+    """The initial states and every raw successor of every reachable
+    canonical state, found by a search that does not use the checker."""
+    frontier = []
+    for state in model.initial_states():
+        yield state
+        frontier.append(model.canonicalize(state))
+    seen = set(frontier)
+    while frontier:
+        state = frontier.pop()
+        for _label, nxt in model.transitions(state):
+            yield nxt
+            canon = model.canonicalize(nxt)
+            if canon not in seen:
+                seen.add(canon)
+                frontier.append(canon)
+
+
+@pytest.mark.parametrize(
+    "model", [TokenSafetyModel(), TokenRecreateModel(), ToyTokenRingReduced()],
+    ids=lambda model: model.name,
+)
+def test_canonicalize_is_idempotent_on_every_reachable_state(model):
+    """The checker interns raw successors and canonical states in one
+    table, which is only sound if canonicalize is idempotent."""
+    for nxt in _raw_successors(model):
+        canon = model.canonicalize(nxt)
+        assert model.canonicalize(canon) == canon, nxt
+
+
+def test_checker_canonicalizes_each_raw_successor_once():
+    seen = []
+
+    class Counting(TokenSafetyModel):
+        def canonicalize(self, state):
+            seen.append(state)
+            return super().canonicalize(state)
+
+    result = check(Counting(), check_liveness=False)
+    assert result.states == 6168
+    assert len(seen) == len(set(seen))
+    assert len(seen) < result.transitions
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,15 @@ def test_checker_detects_deadlock():
         def transitions(self, state):
             return [] if state == 2 else [("inc", state + 1)]
 
-    with pytest.raises(VerificationError, match="deadlock"):
+    with pytest.raises(VerificationError, match="deadlock") as err:
         check(Dead())
+    assert str(err.value) == (
+        "toy-deadlock: deadlock (non-quiescent state with no transitions)\n"
+        "counterexample (most recent last):\n"
+        "  initial: 0\n"
+        "  inc -> 1\n"
+        "  inc -> 2"
+    )
 
 
 def test_checker_detects_invariant_violation_with_trace():
@@ -85,8 +92,12 @@ def test_checker_detects_livelock():
         def is_quiescent(self, state):
             return state == "start"
 
-    with pytest.raises(VerificationError, match="liveness"):
+    with pytest.raises(VerificationError, match="liveness") as err:
         check(Livelock())
+    assert str(err.value) == (
+        "toy-livelock: liveness violated — 1 states cannot reach "
+        "quiescence, e.g. 'spin'"
+    )
 
 
 def test_checker_state_budget():
@@ -125,12 +136,20 @@ def test_token_dst_model_verifies_with_liveness():
 
 def test_token_arb_model_verifies_with_liveness():
     # values=1 keeps this fast for the unit suite; the full 2-value
-    # configuration runs in benchmarks/bench_sec5_modelcheck.py.
+    # configuration runs in benchmarks/bench_sec5_modelcheck.py and in
+    # `python -m repro verify`.
     result = check(
         TokenArbModel(values=1, coarse_sends=True, atomic_broadcasts=True),
         max_states=1_500_000,
     )
-    assert result.liveness_checked
+    assert result.to_dict() == {
+        "model": "TokenCMP-arb",
+        "states": 123213,
+        "transitions": 809301,
+        "diameter": 39,
+        "quiescent_states": 17,
+        "liveness_checked": True,
+    }
 
 
 def test_token_recreate_model_verifies_with_pinned_counts():
@@ -256,8 +275,23 @@ def test_seeded_bug_token_duplication_caught():
                 out.append(("mint", make(state, caches=nc)))
             return out
 
-    with pytest.raises(VerificationError, match="conservation"):
+    with pytest.raises(VerificationError, match="conservation") as err:
         check(Broken(), max_states=500_000, check_liveness=False)
+    # The whole message is pinned: the shortest trace, its labels and
+    # the symmetry representative printed at each step.
+    assert str(err.value) == (
+        "TokenCMP-broken-mint: invariant violated: token conservation broken: 4 != 3\n"
+        "counterexample (most recent last):\n"
+        "  initial: (((0, False, False, 0), (0, False, False, 0)), (3, True, 0), (), (None, None))\n"
+        "  mem->0 -> (((0, False, False, 0), (0, False, False, 0)), (2, True, 0), "
+        "(('tok', 0, 1, False, 0),), (None, None))\n"
+        "  mem->1 -> (((0, False, False, 0), (0, False, False, 0)), (1, True, 0), "
+        "(('tok', 0, 1, False, 0), ('tok', 1, 1, False, 0)), (None, None))\n"
+        "  deliver0 -> (((0, False, False, 0), (1, False, True, 0)), (1, True, 0), "
+        "(('tok', 0, 1, False, 0),), (None, None))\n"
+        "  deliver0 -> (((1, False, True, 0), (1, False, True, 0)), (1, True, 0), (), (None, None))\n"
+        "  mint -> (((1, False, True, 0), (2, False, True, 0)), (1, True, 0), (), (None, None))"
+    )
 
 
 def test_seeded_bug_directory_stale_sharer_caught():
